@@ -6,6 +6,19 @@
 
 namespace amac {
 
+namespace {
+
+/// A steady-state morsel folds into its point's EWMA at no more than this
+/// multiple of the EWMA.  Morsel costs are heavy-tailed on skewed data (a
+/// morsel that holds a probe into a hot key's chain costs several times
+/// its neighbours under any schedule); one such morsel would otherwise
+/// inflate the winner's EWMA enough for the next probe of a slower point
+/// to usurp it.  A real regime change still raises the EWMA by a quarter
+/// per morsel (ewma_alpha 0.25), so drift is still detected.
+constexpr double kMorselClip = 2.0;
+
+}  // namespace
+
 QueryGovernor::QueryGovernor(const AdaptiveConfig& config,
                              Calibrator* calibrator,
                              const WorkloadSignature& signature,
@@ -122,7 +135,7 @@ void QueryGovernor::Report(const Choice& choice, uint64_t inputs,
   }
   double& ewma = survivor_ewma_[index];
   ewma = ewma <= 0 ? cpi
-                   : config_.ewma_alpha * cpi +
+                   : config_.ewma_alpha * std::min(cpi, kMorselClip * ewma) +
                          (1 - config_.ewma_alpha) * ewma;
   if (index == winner_) {
     if (seed_unconfirmed_) {
@@ -197,10 +210,15 @@ void QueryGovernor::StoreResultLocked() {
 
 void QueryGovernor::FinishCalibrationLocked() {
   const GridPoint winner_point = episode_->point(episode_->best());
-  if (retuning_ && !(winner_point == retune_from_)) ++tuning_switches_;
+  const bool retune = retuning_;
+  if (retune && !(winner_point == retune_from_)) ++tuning_switches_;
   retuning_ = false;
+  // A re-tune only re-picks the winner; it keeps the explore set.  Taking
+  // its own first-halving survivors instead would halve that set on every
+  // re-tune until one point is left, which exploration can never leave
+  // and the calibration cache then hands to every later query.
   AdoptWinnerLocked(winner_point, episode_->BestCyclesPerInput(),
-                    episode_->Survivors());
+                    retune ? survivors_ : episode_->Survivors());
   episode_.reset();
   ++epoch_;
   StoreResultLocked();

@@ -36,14 +36,23 @@ class AlignedBuffer {
   AlignedBuffer() = default;
 
   explicit AlignedBuffer(std::size_t count,
-                         std::size_t alignment = kCacheLineSize)
-      : size_(count) {
-    if (count == 0) return;
-    data_ = static_cast<T*>(AlignedAlloc(count * sizeof(T), alignment));
-    AdviseHugePages(data_, count * sizeof(T));
+                         std::size_t alignment = kCacheLineSize) {
+    Allocate(count, alignment);
     if constexpr (!std::is_trivially_default_constructible_v<T>) {
       for (std::size_t i = 0; i < count; ++i) new (data_ + i) T();
     }
+  }
+
+  /// Room for `count` elements, none of them constructed: the owner
+  /// placement-news each element before its first use, so pages it never
+  /// writes are never backed by memory.  Only for trivially destructible
+  /// T, whose Reset() then has nothing to destroy.
+  static AlignedBuffer Uninitialized(std::size_t count,
+                                     std::size_t alignment = kCacheLineSize) {
+    static_assert(std::is_trivially_destructible_v<T>);
+    AlignedBuffer buffer;
+    buffer.Allocate(count, alignment);
+    return buffer;
   }
 
   AlignedBuffer(const AlignedBuffer&) = delete;
@@ -97,6 +106,13 @@ class AlignedBuffer {
   const T* end() const { return data_ + size_; }
 
  private:
+  void Allocate(std::size_t count, std::size_t alignment) {
+    size_ = count;
+    if (count == 0) return;
+    data_ = static_cast<T*>(AlignedAlloc(count * sizeof(T), alignment));
+    AdviseHugePages(data_, count * sizeof(T));
+  }
+
   T* data_ = nullptr;
   std::size_t size_ = 0;
 };

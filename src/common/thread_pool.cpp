@@ -140,4 +140,14 @@ Range PartitionRange(uint64_t total, uint32_t parts, uint32_t index) {
   return Range{begin, begin + len};
 }
 
+void ForRanges(ThreadPool* team, uint64_t count,
+               const std::function<void(uint32_t, Range)>& fn) {
+  if (team == nullptr || team->size() <= 1) {
+    fn(0, Range{0, count});
+    return;
+  }
+  const uint32_t parts = team->size();
+  team->Run([&](uint32_t tid) { fn(tid, PartitionRange(count, parts, tid)); });
+}
+
 }  // namespace amac

@@ -14,9 +14,11 @@
 #include <deque>
 #include <functional>
 #include <mutex>
+#include <new>
 #include <thread>
 #include <vector>
 
+#include "common/aligned.h"
 #include "common/macros.h"
 
 namespace amac {
@@ -105,6 +107,26 @@ struct Range {
   uint64_t size() const { return end - begin; }
 };
 Range PartitionRange(uint64_t total, uint32_t parts, uint32_t index);
+
+/// Run `fn(part, range)` for each of `team->size()` contiguous ranges
+/// covering [0, count), on the team; without a team (or with one thread),
+/// run `fn(0, {0, count})` inline.  `part` indexes the range, so per-part
+/// results fit an array of team->size().  Not callable from a closure
+/// running on `team` (ThreadPool::Run is not reentrant).
+void ForRanges(ThreadPool* team, uint64_t count,
+               const std::function<void(uint32_t, Range)>& fn);
+
+/// A buffer of `count` default-constructed T whose elements are
+/// constructed, so first touched, by ForRanges on `team`.
+template <typename T>
+AlignedBuffer<T> MakeBufferOnTeam(ThreadPool* team, uint64_t count) {
+  AlignedBuffer<T> buffer = AlignedBuffer<T>::Uninitialized(count);
+  T* const data = buffer.data();
+  ForRanges(team, count, [data](uint32_t, Range r) {
+    for (uint64_t i = r.begin; i < r.end; ++i) new (data + i) T();
+  });
+  return buffer;
+}
 
 /// Atomic work-stealing cursor over [0, total): threads claim fixed-size
 /// morsels until the input is exhausted.  Unlike PartitionRange's static

@@ -1,42 +1,34 @@
 #include "groupby/agg_table.h"
 
+#include <new>
+#include <vector>
+
+#include "common/thread_pool.h"
+
 namespace amac {
 
-AggregateTable::AggregateTable(uint64_t expected_groups, Options options)
+AggregateTable::AggregateTable(uint64_t expected_groups, Options options,
+                               ThreadPool* team)
     : hash_kind_(options.hash_kind) {
   AMAC_CHECK(expected_groups > 0);
   uint64_t nbuckets = NextPow2(static_cast<uint64_t>(
       static_cast<double>(expected_groups) / options.target_nodes_per_bucket +
       0.5));
   nbuckets = std::max<uint64_t>(nbuckets, 1);
-  buckets_ = AlignedBuffer<GroupNode>(nbuckets);
+  buckets_ = MakeBufferOnTeam<GroupNode>(team, nbuckets);
   bucket_mask_ = nbuckets - 1;
   // Worst case: every group in an overflow node.
-  pool_ = AlignedBuffer<GroupNode>(expected_groups + 1);
+  pool_ = AlignedBuffer<GroupNode>::Uninitialized(expected_groups + 1);
 }
 
 GroupNode* AggregateTable::AllocNode() {
   const uint64_t idx = pool_next_.fetch_add(1, std::memory_order_relaxed);
   AMAC_CHECK_MSG(idx < pool_.size(), "group node pool exhausted");
-  GroupNode* node = &pool_[idx];
-  node->used = 0;
-  node->key = GroupNode::kEmptyGroupKey;
-  node->count = 0;
-  node->sum = 0;
-  node->sumsq = 0;
-  node->next = nullptr;
-  return node;
+  return new (pool_.data() + idx) GroupNode();
 }
 
 void AggregateTable::Clear() {
-  for (GroupNode& b : buckets_) {
-    b.used = 0;
-    b.key = GroupNode::kEmptyGroupKey;
-    b.count = 0;
-    b.sum = 0;
-    b.sumsq = 0;
-    b.next = nullptr;
-  }
+  for (GroupNode& b : buckets_) new (&b) GroupNode();
   pool_next_.store(0, std::memory_order_relaxed);
 }
 
@@ -49,32 +41,38 @@ void AggregateTable::ForEachGroup(
   }
 }
 
-uint64_t AggregateTable::CountGroups() const {
-  uint64_t groups = 0;
-  ForEachGroup([&](const GroupNode&) { ++groups; });
-  return groups;
+GroupSummary AggregateTable::Summarize(ThreadPool* team) const {
+  std::vector<GroupSummary> parts(team != nullptr ? team->size() : 1);
+  const GroupNode* const buckets = buckets_.data();
+  ForRanges(team, buckets_.size(), [&](uint32_t part, Range range) {
+    GroupSummary s;
+    for (uint64_t i = range.begin; i < range.end; ++i) {
+      for (const GroupNode* g = buckets + i; g != nullptr; g = g->next) {
+        if (!g->used) continue;
+        uint64_t h = Mix64(static_cast<uint64_t>(g->key));
+        h = Mix64(h ^ static_cast<uint64_t>(g->count));
+        h = Mix64(h ^ static_cast<uint64_t>(g->sum));
+        h = Mix64(h ^ static_cast<uint64_t>(g->min));
+        h = Mix64(h ^ static_cast<uint64_t>(g->max));
+        h = Mix64(h ^ g->sumsq);
+        ++s.groups;
+        s.rows += static_cast<uint64_t>(g->count);
+        s.checksum += h;
+      }
+    }
+    parts[part] = s;
+  });
+  GroupSummary total;
+  for (const GroupSummary& s : parts) {
+    total.groups += s.groups;
+    total.rows += s.rows;
+    total.checksum += s.checksum;
+  }
+  return total;
 }
 
-uint64_t AggregateTable::TotalRows() const {
-  uint64_t rows = 0;
-  ForEachGroup([&](const GroupNode& g) {
-    rows += static_cast<uint64_t>(g.count);
-  });
-  return rows;
-}
+uint64_t AggregateTable::CountGroups() const { return Summarize().groups; }
 
-uint64_t AggregateTable::Checksum() const {
-  uint64_t sum = 0;
-  ForEachGroup([&](const GroupNode& g) {
-    uint64_t h = Mix64(static_cast<uint64_t>(g.key));
-    h = Mix64(h ^ static_cast<uint64_t>(g.count));
-    h = Mix64(h ^ static_cast<uint64_t>(g.sum));
-    h = Mix64(h ^ static_cast<uint64_t>(g.min));
-    h = Mix64(h ^ static_cast<uint64_t>(g.max));
-    h = Mix64(h ^ g.sumsq);
-    sum += h;
-  });
-  return sum;
-}
+uint64_t AggregateTable::Checksum() const { return Summarize().checksum; }
 
 }  // namespace amac

@@ -8,6 +8,8 @@
 // One group per 64-byte node: the running state of all six aggregates
 // (avg = sum/count is derived) plus the chain pointer.  The first node of
 // each chain is clustered with the bucket header, like the join table.
+// The overflow pool is reserved, not constructed: AllocNode constructs
+// each node as it hands it out.
 #pragma once
 
 #include <atomic>
@@ -64,6 +66,15 @@ struct AMAC_CACHE_ALIGNED GroupNode {
 };
 static_assert(sizeof(GroupNode) == kCacheLineSize);
 
+class ThreadPool;
+
+/// What one pass over every group of an AggregateTable yields.
+struct GroupSummary {
+  uint64_t groups = 0;    ///< distinct groups stored
+  uint64_t rows = 0;      ///< rows folded in (sum of the count aggregates)
+  uint64_t checksum = 0;  ///< order-independent, over every aggregate
+};
+
 class AggregateTable {
  public:
   struct Options {
@@ -72,7 +83,11 @@ class AggregateTable {
     double target_nodes_per_bucket = 1.0;
   };
 
-  AggregateTable(uint64_t expected_groups, Options options);
+  /// With a `team`, the bucket array is constructed (first-touched) in
+  /// contiguous ranges on it (ForRanges, common/thread_pool.h); without
+  /// one, on the calling thread.
+  AggregateTable(uint64_t expected_groups, Options options,
+                 ThreadPool* team = nullptr);
 
   uint64_t BucketIndex(int64_t key) const {
     return hash_kind_ == HashKind::kMurmur
@@ -94,20 +109,21 @@ class AggregateTable {
 
   void Clear();
 
-  /// Visit every group (headers + overflow chains); not a hot path.
+  /// Visit every group (headers + overflow chains); not a hot path.  The
+  /// reference the tests check Summarize against.
   void ForEachGroup(const std::function<void(const GroupNode&)>& fn) const;
 
-  /// Number of distinct groups currently stored.
+  /// One pass over every group, split by bucket range on `team` (see
+  /// ForRanges; inline without one).  `rows` is the row count that reached
+  /// the aggregation, which the plan layer reads off after a run to
+  /// observe pipeline selectivity without any per-row instrumentation.
+  /// Engines that compute the same aggregation agree on `checksum`.
+  GroupSummary Summarize(ThreadPool* team = nullptr) const;
+
+  /// Summarize().groups.
   uint64_t CountGroups() const;
 
-  /// Total rows folded in (sum of the per-group count aggregate) — the
-  /// row count that reached the aggregation, which the plan layer reads
-  /// off after a run to observe pipeline selectivity without any per-row
-  /// instrumentation.  Walks groups; not a hot path.
-  uint64_t TotalRows() const;
-
-  /// Order-independent checksum over the full aggregate state of every
-  /// group; engines that compute the same aggregation agree on this value.
+  /// Summarize().checksum.
   uint64_t Checksum() const;
 
  private:

@@ -9,7 +9,7 @@
 namespace amac {
 
 RunStats RunGroupBy(Executor& exec, const Relation& input,
-                    AggregateTable* table) {
+                    AggregateTable* table, GroupSummary* summary) {
   RunStats run;
   const uint32_t threads = exec.num_threads();
   if (exec.policy() == ExecPolicy::kSequential) {
@@ -45,8 +45,10 @@ RunStats RunGroupBy(Executor& exec, const Relation& input,
       return GroupByOp<true>(*table, input);
     }));
   }
-  run.outputs = table->CountGroups();
-  run.checksum = table->Checksum();
+  const GroupSummary result = table->Summarize(&exec.pool());
+  run.outputs = result.groups;
+  run.checksum = result.checksum;
+  if (summary != nullptr) *summary = result;
   return run;
 }
 

@@ -20,8 +20,10 @@ namespace amac {
 /// Aggregate `input` into `table` (which must be empty and sized for the
 /// expected number of groups) under the executor's policy.  The returned
 /// RunStats carry inputs = |input|, outputs = resulting group count, and
-/// checksum = the table's order-independent checksum.
+/// checksum = the table's order-independent checksum, all read off one
+/// AggregateTable::Summarize pass on the executor's team; with `summary`,
+/// that pass's full result (rows included) is stored there too.
 RunStats RunGroupBy(Executor& exec, const Relation& input,
-                    AggregateTable* table);
+                    AggregateTable* table, GroupSummary* summary = nullptr);
 
 }  // namespace amac

@@ -1,12 +1,14 @@
 #include "hashtable/chained_table.h"
 
 #include <algorithm>
+#include <new>
 
 #include "common/thread_pool.h"
 
 namespace amac {
 
-ChainedHashTable::ChainedHashTable(uint64_t expected_tuples, Options options)
+ChainedHashTable::ChainedHashTable(uint64_t expected_tuples, Options options,
+                                   ThreadPool* team)
     : hash_kind_(options.hash_kind) {
   AMAC_CHECK(expected_tuples > 0);
   AMAC_CHECK(options.target_nodes_per_bucket > 0);
@@ -15,12 +17,8 @@ ChainedHashTable::ChainedHashTable(uint64_t expected_tuples, Options options)
   uint64_t nbuckets = NextPow2(static_cast<uint64_t>(
       static_cast<double>(expected_tuples) / tuples_per_bucket + 0.5));
   nbuckets = std::max<uint64_t>(nbuckets, 1);
-  buckets_ = AlignedBuffer<BucketNode>(nbuckets);
+  buckets_ = MakeBufferOnTeam<BucketNode>(team, nbuckets);
   bucket_mask_ = nbuckets - 1;
-  for (BucketNode& b : buckets_) {
-    b.tuples[0].key = BucketNode::kEmptySlotKey;
-    b.tuples[1].key = BucketNode::kEmptySlotKey;
-  }
 
   uint64_t pool_cap = options.overflow_capacity;
   if (pool_cap == 0) {
@@ -28,16 +26,11 @@ ChainedHashTable::ChainedHashTable(uint64_t expected_tuples, Options options)
     // absorbs 2 tuples and each overflow node another 2.
     pool_cap = expected_tuples / BucketNode::kTuplesPerNode + 2;
   }
-  overflow_pool_ = AlignedBuffer<BucketNode>(pool_cap);
+  overflow_pool_ = AlignedBuffer<BucketNode>::Uninitialized(pool_cap);
 }
 
 void ChainedHashTable::Clear() {
-  for (BucketNode& b : buckets_) {
-    b.count = 0;
-    b.tuples[0].key = BucketNode::kEmptySlotKey;
-    b.tuples[1].key = BucketNode::kEmptySlotKey;
-    b.next = nullptr;
-  }
+  for (BucketNode& b : buckets_) new (&b) BucketNode();
   pool_next_.store(0, std::memory_order_relaxed);
   has_sentinel_key_.store(false, std::memory_order_relaxed);
 }
@@ -45,12 +38,7 @@ void ChainedHashTable::Clear() {
 BucketNode* ChainedHashTable::AllocOverflowNode() {
   const uint64_t idx = pool_next_.fetch_add(1, std::memory_order_relaxed);
   AMAC_CHECK_MSG(idx < overflow_pool_.size(), "overflow pool exhausted");
-  BucketNode* node = &overflow_pool_[idx];
-  node->count = 0;
-  node->tuples[0].key = BucketNode::kEmptySlotKey;
-  node->tuples[1].key = BucketNode::kEmptySlotKey;
-  node->next = nullptr;
-  return node;
+  return new (overflow_pool_.data() + idx) BucketNode();
 }
 
 void ChainedHashTable::InsertInto(BucketNode* head, const Tuple& t) {

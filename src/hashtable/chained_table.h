@@ -26,14 +26,17 @@
 
 namespace amac {
 
+class ThreadPool;
+
 /// One cache line of the chain: up to two tuples plus the next pointer.
 ///
 /// Slot invariant: every tuple slot with index >= count holds
-/// kEmptySlotKey.  The table's insert paths maintain it (construction,
-/// Clear, AllocOverflowNode, and the header-eviction discipline), and the
-/// vectorized probe (hashtable/vec_probe.h) relies on it to compare both
-/// key slots unconditionally instead of gathering the header for `count` —
-/// an unused slot can never equal a probe key.  The one collision —
+/// kEmptySlotKey.  A default-constructed node satisfies it; the table's
+/// insert paths maintain it (construction, Clear, AllocOverflowNode, and
+/// the header-eviction discipline), and the vectorized probe
+/// (hashtable/vec_probe.h) relies on it to compare both key slots
+/// unconditionally instead of gathering the header for `count` — an
+/// unused slot can never equal a probe key.  The one collision —
 /// a *stored* key equal to kEmptySlotKey — sets
 /// ChainedHashTable::has_sentinel_key() and routes that table's probes
 /// through the scalar walk.
@@ -45,7 +48,7 @@ struct AMAC_CACHE_ALIGNED BucketNode {
   Latch latch;            ///< 1-byte latch (meaningful on bucket headers)
   uint8_t count = 0;      ///< tuples used in this node (0..2)
   uint8_t pad[6] = {};    ///< explicit padding for layout clarity
-  Tuple tuples[kTuplesPerNode] = {};
+  Tuple tuples[kTuplesPerNode] = {{kEmptySlotKey, 0}, {kEmptySlotKey, 0}};
   BucketNode* next = nullptr;  ///< overflow chain
 };
 static_assert(sizeof(BucketNode) == kCacheLineSize,
@@ -67,6 +70,9 @@ struct ChainStats {
 };
 
 /// The chained table: bucket header array + bump-allocated overflow pool.
+/// The pool is reserved, not constructed: AllocOverflowNode constructs
+/// each node as it hands it out, so pool pages a build never reaches are
+/// never backed by memory.
 class ChainedHashTable {
  public:
   struct Options {
@@ -83,7 +89,11 @@ class ChainedHashTable {
     uint64_t overflow_capacity = 0;
   };
 
-  ChainedHashTable(uint64_t expected_tuples, Options options);
+  /// With a `team`, the bucket array is constructed (first-touched) in
+  /// contiguous ranges on it (ForRanges, common/thread_pool.h); without
+  /// one, on the calling thread.
+  ChainedHashTable(uint64_t expected_tuples, Options options,
+                   ThreadPool* team = nullptr);
 
   /// Non-synchronized insert (single-threaded build).
   void InsertUnsync(const Tuple& t);

@@ -30,6 +30,7 @@
 #include "common/cycle_timer.h"
 #include "common/macros.h"
 #include "common/prefetch.h"
+#include "common/thread_pool.h"
 #include "core/ops.h"
 #include "graph/graph_ops.h"
 #include "groupby/groupby.h"
@@ -350,43 +351,53 @@ class DynRowStage {
 // Shape execution
 // ---------------------------------------------------------------------------
 
-RunStats FillGroupStats(RunStats run, const AggregateTable& table) {
-  run.outputs = table.CountGroups();
-  run.checksum = table.Checksum();
+/// Fill an aggregating run's outputs/checksum, and the rows the table
+/// holds (`group_rows`), from one summary pass on the executor's team.
+RunStats FillGroupStats(Executor& exec, RunStats run,
+                        const AggregateTable& table, uint64_t* group_rows) {
+  const GroupSummary summary = table.Summarize(&exec.pool());
+  run.outputs = summary.groups;
+  run.checksum = summary.checksum;
+  *group_rows = summary.rows;
   return run;
 }
 
 template <typename PipelineT>
 RunStats RunMaybeAgg(Executor& exec, const PipelineT& pipeline,
-                     AggregateTable* groups) {
+                     AggregateTable* groups, uint64_t* group_rows) {
   if (groups != nullptr) {
-    return FillGroupStats(exec.Run(pipeline.Then(Aggregate<true>(*groups))),
-                          *groups);
+    return FillGroupStats(exec,
+                          exec.Run(pipeline.Then(Aggregate<true>(*groups))),
+                          *groups, group_rows);
   }
   return exec.Run(pipeline);
 }
 
 template <typename PipelineT>
 RunStats RunTail(Executor& exec, const PipelineT& pipeline,
-                 const std::vector<RowFn>& fns, AggregateTable* groups) {
+                 const std::vector<RowFn>& fns, AggregateTable* groups,
+                 uint64_t* group_rows) {
   if (!fns.empty()) {
-    return RunMaybeAgg(exec, pipeline.Then(DynRowStage(fns)), groups);
+    return RunMaybeAgg(exec, pipeline.Then(DynRowStage(fns)), groups,
+                       group_rows);
   }
-  return RunMaybeAgg(exec, pipeline, groups);
+  return RunMaybeAgg(exec, pipeline, groups, group_rows);
 }
 
 /// Execute the fused form of a shape.  `probe` is the scanned relation for
 /// join-rel shapes (or a measurement prefix of it), the JOIN relation for
-/// flipped build sides, and unused for walks plans.
+/// flipped build sides, and unused for walks plans.  With `groups`, the
+/// group summary's rows are stored to `group_rows`.
 RunStats RunFused(Executor& exec, const Profile& p,
                   const PhysicalShape& shape, const Relation* probe,
-                  const ChainedHashTable* table, AggregateTable* groups) {
+                  const ChainedHashTable* table, AggregateTable* groups,
+                  uint64_t* group_rows) {
   std::vector<RowFn> pre = CollectFns(p.pre);
   std::vector<RowFn> post = CollectFns(p.post);
   if (p.source->kind == PlanNodeKind::kWalks) {
     const PlanNode& w = *p.source;
     return RunTail(exec, Walks(*w.graph, w.walkers, w.hops, w.seed), pre,
-                   groups);
+                   groups, group_rows);
   }
   AMAC_DCHECK(probe != nullptr);
   if (p.join != nullptr) {
@@ -405,42 +416,47 @@ RunStats RunFused(Executor& exec, const Profile& p,
     }
     auto base = From(DynScanSource(*probe, std::move(pre)));
     if (early) {
-      return RunTail(exec, base.Then(Probe<true>(*table)), post, groups);
+      return RunTail(exec, base.Then(Probe<true>(*table)), post, groups,
+                     group_rows);
     }
-    return RunTail(exec, base.Then(Probe<false>(*table)), post, groups);
+    return RunTail(exec, base.Then(Probe<false>(*table)), post, groups,
+                   group_rows);
   }
   if (p.index != nullptr) {
     auto base = From(DynScanSource(*probe, std::move(pre)));
     switch (p.index->kind) {
       case PlanNodeKind::kLookupBTree:
         return RunTail(exec, base.Then(LookupBTree(*p.index->btree)), post,
-                       groups);
+                       groups, group_rows);
       case PlanNodeKind::kLookupBst:
         return RunTail(exec, base.Then(LookupBst(*p.index->bst)), post,
-                       groups);
+                       groups, group_rows);
       default:
         return RunTail(exec, base.Then(LookupSkipList(*p.index->skiplist)),
-                       post, groups);
+                       post, groups, group_rows);
     }
   }
   if (groups != nullptr && pre.empty()) {
     // Pure scan -> group-by: drive the group-by driver directly, keeping
     // the fig09 sequential baseline anchor and the vectorized GroupByOp
     // path underneath plans.
-    return RunGroupBy(exec, *probe, groups);
+    GroupSummary summary;
+    const RunStats run = RunGroupBy(exec, *probe, groups, &summary);
+    *group_rows = summary.rows;
+    return run;
   }
   return RunTail(exec, From(DynScanSource(*probe, std::move(pre))), {},
-                 groups);
+                 groups, group_rows);
 }
 
 /// Execute the two-phase form: probe-materialize (MaterializeSink per
 /// slot), rebuild the canonical intermediate relation, then a separate
 /// group-by phase — fig12's materialized plan, per shape.  Returns the
 /// phases merged into one RunStats (inputs = probe rows, outputs/checksum
-/// = the aggregation's).
-RunStats RunTwoPhase(Executor& exec, const Profile& /*p*/,
-                     const Relation& probe, const ChainedHashTable& table,
-                     AggregateTable* groups, uint64_t* survivors = nullptr) {
+/// = the aggregation's); `group_rows` receives the group summary's rows.
+RunStats RunTwoPhase(Executor& exec, const Relation& probe,
+                     const ChainedHashTable& table, AggregateTable* groups,
+                     uint64_t* group_rows) {
   const uint32_t slots = exec.num_threads();
   // Early-exit probe (two-phase is only enumerated for unique build keys):
   // at most one emission per probe tuple bounds each slot's sink.
@@ -452,21 +468,30 @@ RunStats RunTwoPhase(Executor& exec, const Profile& /*p*/,
   }));
   CycleTimer mid_cycles;
   WallTimer mid_wall;
-  uint64_t total = 0;
-  for (const MaterializeSink& sink : sinks) total += sink.size();
-  if (survivors != nullptr) *survivors = total;
-  Relation mid(total);
-  uint64_t at = 0;
-  for (const MaterializeSink& sink : sinks) {
-    for (uint64_t i = 0; i < sink.size(); ++i) {
-      const Tuple& row = sink.data()[i];
-      mid[at++] = Tuple{row.payload,
-                        probe[static_cast<uint64_t>(row.key)].payload};
-    }
+  // Each slot's rows land at its prefix-summed offset, so the slots copy
+  // in parallel and `mid` keeps slot order.
+  std::vector<uint64_t> offsets(slots + 1, 0);
+  for (uint32_t t = 0; t < slots; ++t) {
+    offsets[t + 1] = offsets[t] + sinks[t].size();
   }
+  const uint64_t total = offsets[slots];
+  Relation mid(total);
+  ForRanges(&exec.pool(), slots, [&](uint32_t, Range range) {
+    for (uint64_t t = range.begin; t < range.end; ++t) {
+      const MaterializeSink& sink = sinks[t];
+      Tuple* out = mid.data() + offsets[t];
+      for (uint64_t i = 0; i < sink.size(); ++i) {
+        const Tuple& row = sink.data()[i];
+        out[i] =
+            Tuple{row.payload, probe[static_cast<uint64_t>(row.key)].payload};
+      }
+    }
+  });
   const uint64_t mid_elapsed = mid_cycles.Elapsed();
   const double mid_seconds = mid_wall.ElapsedSeconds();
-  RunStats phase2 = RunGroupBy(exec, mid, groups);
+  GroupSummary summary;
+  RunStats phase2 = RunGroupBy(exec, mid, groups, &summary);
+  *group_rows = summary.rows;
   RunStats run = phase1;
   run.engine.Merge(phase2.engine);
   run.morsels += phase2.morsels;
@@ -526,14 +551,16 @@ WorkloadSignature ShapeSignature(const Plan& plan, const Profile& p,
 constexpr double kTwoPhaseFixedFraction = 0.5;
 
 /// Terminal rows per probe input observed on a finished run.  When the
-/// plan aggregates, run.outputs counts groups, not rows — the aggregate
-/// table's folded row count (TotalRows) recovers the rows that reached the
-/// terminal without any per-row instrumentation.  Negative when the run
-/// could not observe it.
+/// plan aggregates, run.outputs counts groups, not rows — the group
+/// summary's folded row count (`group_rows`, GroupSummary::rows) recovers
+/// the rows that reached the terminal without any per-row
+/// instrumentation.  Every shape reports the summary of the whole table,
+/// so a caller's `group_into` that already held rows counts them the same
+/// way whichever shape ran.  Negative when the run could not observe it.
 double ObservedSelectivity(const RunStats& run, const AggregateTable* groups,
-                           uint64_t inputs) {
+                           uint64_t group_rows, uint64_t inputs) {
   if (inputs == 0) return -1;
-  const uint64_t rows = groups != nullptr ? groups->TotalRows() : run.outputs;
+  const uint64_t rows = groups != nullptr ? group_rows : run.outputs;
   return static_cast<double>(rows) / static_cast<double>(inputs);
 }
 
@@ -565,13 +592,13 @@ BuildKey KeyOf(const PhysicalShape& shape) {
           static_cast<int>(shape.build_mode)};
 }
 
-std::shared_ptr<ChainedHashTable> MakeTable(const Profile& p,
+std::shared_ptr<ChainedHashTable> MakeTable(Executor& exec, const Profile& p,
                                             const Relation& build_rel) {
   ChainedHashTable::Options options;
   options.target_nodes_per_bucket = p.join->join.target_nodes_per_bucket;
   options.hash_kind = p.join->join.hash_kind;
   return std::make_shared<ChainedHashTable>(
-      std::max<uint64_t>(1, build_rel.size()), options);
+      std::max<uint64_t>(1, build_rel.size()), options, &exec.pool());
 }
 
 ShapeBuild& EnsureBuilt(Executor& exec, const Profile& p,
@@ -582,7 +609,7 @@ ShapeBuild& EnsureBuilt(Executor& exec, const Profile& p,
     const Relation& build_rel = shape.build_side == PlanBuildSide::kInput
                                     ? *p.source->rel
                                     : *p.join->rel;
-    it->second.table = MakeTable(p, build_rel);
+    it->second.table = MakeTable(exec, p, build_rel);
     it->second.build =
         BuildPhase(exec, build_rel, it->second.table.get(), shape.build_mode);
   }
@@ -649,16 +676,18 @@ size_t MeasureCandidates(Executor& exec, const Plan& plan, const Profile& p,
           expected += p.join->rel->size();
         }
         scratch.emplace(std::max<uint64_t>(1, expected),
-                        ScratchGroupOptions(p));
+                        ScratchGroupOptions(p), &exec.pool());
         groups = &*scratch;
       }
+      uint64_t group_rows = 0;
       const RunStats m =
           shape.pipeline == PlanShape::kTwoPhase
-              ? RunTwoPhase(exec, p, prefix, *TableOf(p, sb), groups)
-              : RunFused(exec, p, shape, &prefix, TableOf(p, sb), groups);
+              ? RunTwoPhase(exec, prefix, *TableOf(p, sb), groups, &group_rows)
+              : RunFused(exec, p, shape, &prefix, TableOf(p, sb), groups,
+                         &group_rows);
       cost += static_cast<double>(m.cycles) /
               static_cast<double>(prefix_n) * static_cast<double>(n);
-      selectivity = ObservedSelectivity(m, groups, prefix_n);
+      selectivity = ObservedSelectivity(m, groups, group_rows, prefix_n);
     }
     StorePrior(calibrator, ShapeSignature(plan, p, shape), cost, n,
                selectivity);
@@ -842,7 +871,7 @@ PlanResult RunPlan(Executor& exec, const Plan& plan,
     } else {
       result.groups = std::make_shared<AggregateTable>(
           std::max<uint64_t>(1, p.groupby->expected_groups),
-          p.groupby->group_options);
+          p.groupby->group_options, &exec.pool());
       groups = result.groups.get();
     }
   }
@@ -859,7 +888,7 @@ PlanResult RunPlan(Executor& exec, const Plan& plan,
         const Relation& build_rel =
             shape.build_side == PlanBuildSide::kInput ? *p.source->rel
                                                       : *p.join->rel;
-        result.table = MakeTable(p, build_rel);
+        result.table = MakeTable(exec, p, build_rel);
         result.build =
             BuildPhase(exec, build_rel, result.table.get(), shape.build_mode);
       }
@@ -867,21 +896,23 @@ PlanResult RunPlan(Executor& exec, const Plan& plan,
     }
   }
 
+  uint64_t group_rows = 0;
   if (options.terminal == PlanTerminal::kMatches) {
     result.run = ProbePhase(exec, *table, *p.source->rel, p.unique_build());
   } else if (shape.pipeline == PlanShape::kTwoPhase) {
-    result.run = RunTwoPhase(exec, p, *p.source->rel, *table, groups);
+    result.run =
+        RunTwoPhase(exec, *p.source->rel, *table, groups, &group_rows);
   } else {
     const Relation* probe =
         p.source->kind == PlanNodeKind::kWalks ? nullptr
         : shape.build_side == PlanBuildSide::kInput ? p.join->rel
                                                     : p.source->rel;
-    result.run = RunFused(exec, p, shape, probe, table, groups);
+    result.run = RunFused(exec, p, shape, probe, table, groups, &group_rows);
   }
   pstats.measured_cost_cycles =
       static_cast<double>(result.build.cycles + result.run.cycles);
-  pstats.observed_selectivity =
-      ObservedSelectivity(result.run, groups, ProbeInputs(p, shape));
+  pstats.observed_selectivity = ObservedSelectivity(
+      result.run, groups, group_rows, ProbeInputs(p, shape));
   // Refresh the chosen shape's prior with the full-run cost and the
   // full-run selectivity, so steady state tracks reality (including the
   // match-rate regime) rather than the first extrapolation forever.
@@ -916,8 +947,11 @@ QueryTicket SubmitCompiled(QueryScheduler& scheduler,
       },
       options, [sinks, group_into](RunStats* run) {
         if (group_into != nullptr) {
-          run->outputs = group_into->CountGroups();
-          run->checksum = group_into->Checksum();
+          // No team here: this runs on whichever thread drained the last
+          // morsel, possibly a pool worker.
+          const GroupSummary summary = group_into->Summarize();
+          run->outputs = summary.groups;
+          run->checksum = summary.checksum;
         } else {
           RowSink total;
           for (const RowSink& sink : *sinks) total.Merge(sink);

@@ -2,8 +2,10 @@
 // (a) full decision-sequence determinism under a fixed common/rng.h seed,
 // (b) calibration -> running convergence on a synthetic cost model,
 // (c) cache-hit construction skipping calibration entirely,
-// (d) drift-triggered re-tuning switching the winner, and
-// (e) epsilon-greedy exploration accounting.
+// (d) drift-triggered re-tuning switching the winner (and keeping the
+//     explore set), and
+// (e) epsilon-greedy exploration accounting, robust to one outlier
+//     morsel.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -149,6 +151,58 @@ TEST(QueryGovernorTest, DriftTriggersRetuneAndSwitch) {
   EXPECT_EQ(after.policy, shifted.fast.policy);
   EXPECT_EQ(after.inflight, shifted.fast.inflight);
   EXPECT_GE(governor.tuning_switches(), 1u);
+}
+
+TEST(QueryGovernorTest, RetunesKeepTheExploreSet) {
+  // A re-tune re-picks the winner from the explore set without shrinking
+  // it: the optimum can move back to a point an earlier re-tune ranked
+  // low, and the calibration cache hands the set on to later queries.
+  Calibrator calibrator;
+  const auto sig = WorkloadSignature::Make("op", 1 << 16, 8);
+  AdaptiveConfig config;
+  config.epsilon = 0;  // only drift re-tunes change the winner
+  QueryGovernor governor(config, &calibrator, sig, 1);
+  CostModel model;  // AMAC/16 fast
+  Drive(&governor, model, 120);
+  ASSERT_TRUE(governor.current() == model.fast);
+  const size_t explore = calibrator.PeekResult(sig)->survivors.size();
+  ASSERT_GT(explore, 2u);
+  // The optimum alternates between two explore-set points; each move
+  // makes the old winner drift and forces a re-tune.
+  const GridPoint optima[2] = {GridPoint{ExecPolicy::kCoroutine, 32},
+                               model.fast};
+  for (int move = 0; move < 6; ++move) {
+    CostModel shifted;
+    shifted.fast = optima[move % 2];
+    shifted.slow_cpi = 40.0;
+    Drive(&governor, shifted, 400);
+    EXPECT_TRUE(governor.current() == shifted.fast) << "move " << move;
+    EXPECT_EQ(calibrator.PeekResult(sig)->survivors.size(), explore)
+        << "move " << move;
+  }
+}
+
+TEST(QueryGovernorTest, OneOutlierMorselDoesNotDeposeTheWinner) {
+  // Skewed data makes morsel costs heavy-tailed under every schedule.  One
+  // winner morsel at 100x its usual cost must not let the next probe of a
+  // 10x slower point take over.
+  AdaptiveConfig config;
+  config.epsilon = 0.5;    // probe often: a usurp would follow at once
+  config.drift_ratio = 0;  // isolate the probe rule
+  QueryGovernor governor(config, nullptr, WorkloadSignature{}, 1);
+  CostModel model;  // AMAC/16 at 2 cycles/input, every other point ~20
+  Drive(&governor, model, 200);
+  ASSERT_TRUE(governor.current() == model.fast);
+  const uint32_t switches = governor.tuning_switches();
+  for (;;) {
+    const QueryGovernor::Choice c = governor.Acquire();
+    const bool winner = GridPoint{c.policy, c.params.inflight} == model.fast;
+    governor.Report(c, 1000, (winner ? 100 : 1) * model.Cycles(c, 1000));
+    if (winner) break;
+  }
+  Drive(&governor, model, 40);
+  EXPECT_TRUE(governor.current() == model.fast);
+  EXPECT_EQ(governor.tuning_switches(), switches);
 }
 
 TEST(QueryGovernorTest, EpsilonZeroNeverProbes) {

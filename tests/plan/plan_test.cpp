@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -142,6 +143,46 @@ TEST(PlanDifferentialTest, AllShapesMatchSequentialOracle) {
   }
 }
 
+// With a multi-thread executor the plan builds its join and group tables,
+// summarises its groups and copies the two-phase intermediate on the
+// executor's team (three threads: no power-of-two bucket count divides).
+// Every shape, and the measure fallback's choice, must still agree bitwise
+// with the sequential single-threaded oracle and observe every row.
+TEST(PlanDifferentialTest, TeamSetUpShapesMatchSequentialOracle) {
+  const uint64_t r_size = uint64_t{1} << 17;
+  const uint64_t s_size = uint64_t{1} << 18;
+  const JoinFixture fx(r_size, s_size, 1.0);
+  const Plan plan = JoinGroupByPlan(fx, r_size);
+  Executor oracle_exec = MakeExec(ExecPolicy::kSequential);
+  PlanOptions pin;
+  pin.shape = PlanShape::kFused;
+  pin.build_side = PlanBuildSide::kJoinRel;
+  const PlanResult oracle = RunPlan(oracle_exec, plan, pin);
+  ASSERT_GT(oracle.run.outputs, 0u);
+  const uint32_t threads = 3;
+  Executor exec = MakeExec(ExecPolicy::kAmac, 10, threads);
+  for (const PhysicalShape& shape :
+       PlanCompiler::Enumerate(plan, PlanOptions{}, threads)) {
+    PlanOptions opt;
+    opt.shape = shape.pipeline;
+    opt.build_side = shape.build_side;
+    opt.build_mode = shape.build_mode;
+    const PlanResult got = RunPlan(exec, plan, opt);
+    EXPECT_EQ(got.run.outputs, oracle.run.outputs) << shape.Name();
+    EXPECT_EQ(got.run.checksum, oracle.run.checksum) << shape.Name();
+    const uint64_t probe_rows =
+        shape.build_side == PlanBuildSide::kInput ? r_size : s_size;
+    EXPECT_DOUBLE_EQ(got.run.plan.observed_selectivity,
+                     static_cast<double>(s_size) / probe_rows)
+        << shape.Name();
+  }
+  Executor fresh = MakeExec(ExecPolicy::kAmac, 10, threads);
+  const PlanResult measured = RunPlan(fresh, plan);
+  EXPECT_FALSE(measured.run.plan.from_priors);
+  EXPECT_EQ(measured.run.outputs, oracle.run.outputs);
+  EXPECT_EQ(measured.run.checksum, oracle.run.checksum);
+}
+
 TEST(PlanDifferentialTest, FilterMapPlansMatchHandLoop) {
   const JoinFixture fx(512, 4096, 0.8);
   ChainedHashTable table(fx.r.size(), ChainedHashTable::Options{});
@@ -211,6 +252,55 @@ TEST(PlanTest, GroupByIntoUsesCallerTable) {
   AggregateTable owned_oracle(800, AggregateTable::Options{});
   RunGroupBy(exec, input, &owned_oracle);
   EXPECT_EQ(mine.Checksum(), owned_oracle.Checksum());
+}
+
+// Every shape reads the rows it observes off the summary of the whole
+// group table, so a caller's table that already held rows moves the
+// observed selectivity the same way whichever shape ran: the fused join,
+// the two-phase join, the flipped build, the group-by driver under a pure
+// scan, and the fused pipeline under a filtered one.
+TEST(PlanTest, GroupByIntoObservesTableRowsOnEveryShape) {
+  const JoinFixture fx(512, 4096, 0.5);
+  const Relation prefill = MakeGroupByInput(64, 3, 29);
+  Executor exec = MakeExec(ExecPolicy::kAmac);
+  const auto observed = [&](const std::function<Plan(AggregateTable*)>& make,
+                            const PlanOptions& opt) {
+    AggregateTable table(4096, AggregateTable::Options{});
+    RunGroupBy(exec, prefill, &table);
+    return RunPlan(exec, make(&table), opt).run.plan.observed_selectivity;
+  };
+  const auto join = [&](AggregateTable* t) {
+    return Plan::Scan(fx.s).HashJoin(fx.r).GroupByInto(t);
+  };
+  AggregateTable unused(1, AggregateTable::Options{});
+  const auto shapes = PlanCompiler::Enumerate(join(&unused), PlanOptions{}, 1);
+  ASSERT_EQ(shapes.size(), 3u);
+  const double matches = static_cast<double>(fx.s.size()) / 2;
+  for (const PhysicalShape& shape : shapes) {
+    PlanOptions opt;
+    opt.shape = shape.pipeline;
+    opt.build_side = shape.build_side;
+    const double probe_rows = static_cast<double>(
+        shape.build_side == PlanBuildSide::kInput ? fx.r.size()
+                                                  : fx.s.size());
+    EXPECT_DOUBLE_EQ(observed(join, opt),
+                     (static_cast<double>(prefill.size()) + matches) /
+                         probe_rows)
+        << shape.Name();
+  }
+  const double scan_rows = static_cast<double>(fx.s.size());
+  const double want =
+      (static_cast<double>(prefill.size()) + scan_rows) / scan_rows;
+  const auto scan = [&](AggregateTable* t) {
+    return Plan::Scan(fx.s).GroupByInto(t);
+  };
+  const auto filtered = [&](AggregateTable* t) {
+    return Plan::Scan(fx.s)
+        .Filter([](const Tuple&) { return true; })
+        .GroupByInto(t);
+  };
+  EXPECT_DOUBLE_EQ(observed(scan, PlanOptions{}), want);
+  EXPECT_DOUBLE_EQ(observed(filtered, PlanOptions{}), want);
 }
 
 // ------------------------------------------------------------ cost model --
