@@ -216,7 +216,8 @@ CellResult RunMixCell(const std::vector<TraceOp>& trace,
     QueryScheduler sched(sopt);
     // The serving loop's quiescence driver: idle workers advance the epoch
     // and sweep orphans, exactly how a long-lived server stays leak-free.
-    sched.pool().SetIdleTask([&epochs] { epochs.AdvanceAndReclaim(); });
+    sched.pool().SetIdleTask(
+        [&epochs] { return epochs.AdvanceAndReclaim(); });
     QueryOptions options;
     options.policy = policy;
     options.params.inflight = inflight;
@@ -317,7 +318,8 @@ int RunChurn(uint64_t num_keys, uint32_t workers, JsonWriter* json) {
     QuerySchedulerOptions sopt;
     sopt.num_workers = workers;
     QueryScheduler sched(sopt);
-    sched.pool().SetIdleTask([&epochs] { epochs.AdvanceAndReclaim(); });
+    sched.pool().SetIdleTask(
+        [&epochs] { return epochs.AdvanceAndReclaim(); });
     std::vector<QueryTicket> tickets;
     for (uint64_t q = 0; q < kQueries; ++q) {
       const int64_t* kp = keys.data() + q * stripe;
@@ -448,7 +450,8 @@ int RunOpenLoop(const std::vector<TraceOp>& trace, uint64_t num_keys,
     sopt.shed_expired = true;
     sopt.order = AdmissionOrder::kDeadline;
     QueryScheduler sched(sopt);
-    sched.pool().SetIdleTask([&epochs] { epochs.AdvanceAndReclaim(); });
+    sched.pool().SetIdleTask(
+        [&epochs] { return epochs.AdvanceAndReclaim(); });
     QueryOptions options;
     options.policy = ExecPolicy::kAmac;
     options.params.inflight = 8;

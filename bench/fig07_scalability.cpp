@@ -3,7 +3,7 @@
 //
 // Two sections:
 //  * MEASURED — the real parallel probe on this machine's hardware threads,
-//    morsel-driven through core/parallel_driver.h (per-thread sinks, atomic
+//    morsel-driven on an Executor's persistent team (per-slot sinks, atomic
 //    morsel cursor).  Thread counts are capped at hardware concurrency.
 //  * MODELED — the paper's 6-core Xeon reproduced on the memsim model
 //    (per-core L1-D MSHRs + shared 32-entry LLC Global Queue), replaying
@@ -16,7 +16,6 @@
 
 #include "bench_util.h"
 #include "common/table_printer.h"
-#include "core/parallel_driver.h"
 #include "core/pipeline.h"
 #include "join/hash_join.h"
 #include "join/join_ops.h"
@@ -70,38 +69,23 @@ void MeasuredSection(const BenchArgs& args) {
   }
 }
 
-/// The fix the Executor's persistent pool delivers: the team cost of one
-/// probe call (dispatch wall time minus the barrier-to-barrier measured
-/// region) with per-call std::thread spawn vs the persistent pool.
-void SpawnOverheadSection(const BenchArgs& args) {
+/// The team cost of one probe call on the Executor's persistent pool:
+/// dispatch wall time minus the measured region.
+void TeamCostSection(const BenchArgs& args) {
   const uint32_t hw = std::max(1u, std::thread::hardware_concurrency());
   const PreparedJoin prepared =
       PrepareJoin(args.scale, args.scale, 0, 0, 53);
   const SchedulerParams params{args.inflight, 1, 0};
   TablePrinter table(
       "Fig 7 team cost per probe call, AMAC (ms; min over reps)",
-      {"threads", "spawned std::threads", "persistent pool",
-       "measured region"});
+      {"threads", "persistent pool", "measured region"});
   // Fixed team sizes (oversubscription is fine: the measured quantity is
   // the dispatch cost itself), plus the machine's full width.
   std::vector<uint32_t> team_sizes{2, 4};
   if (hw > 4) team_sizes.push_back(hw);
   for (uint32_t threads : team_sizes) {
     const uint32_t reps = std::max(3u, args.reps);
-    double spawned = 1e9, pooled = 1e9, region = 1e9;
-    ParallelDriverConfig config;
-    config.policy = ExecPolicy::kAmac;
-    config.params = params;
-    config.num_threads = threads;
-    for (uint32_t rep = 0; rep < reps; ++rep) {
-      std::vector<CountChecksumSink> sinks(threads);
-      const ParallelDriverStats stats =
-          RunParallel(config, prepared.s.size(), [&](uint32_t tid) {
-            return ProbeOp<true, CountChecksumSink>(*prepared.table,
-                                                    prepared.s, sinks[tid]);
-          });
-      spawned = std::min(spawned, stats.dispatch_seconds - stats.seconds);
-    }
+    double pooled = 1e9, region = 1e9;
     Executor exec(ExecConfig{ExecPolicy::kAmac, params, threads, 0});
     for (uint32_t rep = 0; rep < reps; ++rep) {
       std::vector<CountChecksumSink> sinks(threads);
@@ -114,7 +98,6 @@ void SpawnOverheadSection(const BenchArgs& args) {
       region = std::min(region, run.seconds);
     }
     table.AddRow({std::to_string(threads),
-                  TablePrinter::Fmt(spawned * 1e3, 3),
                   TablePrinter::Fmt(pooled * 1e3, 3),
                   TablePrinter::Fmt(region * 1e3, 3)});
   }
@@ -133,7 +116,7 @@ int Run(int argc, char** argv) {
               "MODELED on memsim with traces from the real chained table");
 
   MeasuredSection(args);
-  SpawnOverheadSection(args);
+  TeamCostSection(args);
 
   const memsim::MachineConfig machine = memsim::MachineConfig::XeonX5670();
   const double kSkews[][2] = {{0, 0}, {0.5, 0.5}, {1, 1}};

@@ -1,21 +1,19 @@
-// BST search kernels: Baseline, GP, SPP, AMAC (paper Table 1 column 4).
+// BST search helpers (paper Table 1 column 4) and the no-prefetch Baseline.
 //
 // A tree descent is a pure dependent-pointer chain: the child cannot be
 // fetched before the parent's comparison resolves, so baseline MLP is ~1.
-// The staged engines overlap `inflight` descents.  GP/SPP provision
-// `num_stages` levels; descents deeper than that bail out sequentially
-// (paper §5.3 discusses exactly this SPP weakness on tall trees), while
-// shallow descents waste no-op stages.  AMAC descends each lookup fully
-// asynchronously.
+// The staged schedules run the generic BstSearchOp (core/ops.h), one
+// VisitBstNode per stage, and overlap `inflight` descents; GP/SPP provision
+// `stages` levels and bail out on deeper descents (paper §5.3 discusses
+// exactly this SPP weakness on tall trees).  BstSearchBaseline stays as the
+// sequential oracle and fig10's Baseline column.
 //
 // Sink contract: Emit(rid, payload) on a key match; missing keys emit
 // nothing.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "bst/bst.h"
 #include "common/macros.h"
@@ -153,139 +151,6 @@ void BstSearchBaseline(const BinarySearchTree& tree, const Relation& probe,
     if (node == nullptr) continue;
     const BstNode* next = nullptr;
     while (!VisitBstNode(node, key, i, sink, &next)) node = next;
-  }
-}
-
-template <typename Sink>
-void BstSearchGroupPrefetch(const BinarySearchTree& tree,
-                            const Relation& probe, uint64_t begin,
-                            uint64_t end, uint32_t group_size,
-                            uint32_t num_stages, Sink& sink) {
-  AMAC_CHECK(group_size >= 1 && num_stages >= 1);
-  if (tree.root() == nullptr) return;
-  struct GpState {
-    const BstNode* ptr;
-    int64_t key;
-    uint64_t rid;
-    bool active;
-  };
-  std::vector<GpState> g(group_size);
-  for (uint64_t base = begin; base < end; base += group_size) {
-    const uint32_t n_in_group =
-        static_cast<uint32_t>(std::min<uint64_t>(group_size, end - base));
-    for (uint32_t j = 0; j < n_in_group; ++j) {
-      g[j] = GpState{tree.root(), probe[base + j].key, base + j, true};
-      Prefetch(tree.root());
-    }
-    for (uint32_t stage = 0; stage < num_stages; ++stage) {
-      for (uint32_t j = 0; j < n_in_group; ++j) {
-        if (!g[j].active) continue;
-        const BstNode* next = nullptr;
-        if (VisitBstNode(g[j].ptr, g[j].key, g[j].rid, sink, &next)) {
-          g[j].active = false;
-        } else {
-          Prefetch(next);
-          g[j].ptr = next;
-        }
-      }
-    }
-    for (uint32_t j = 0; j < n_in_group; ++j) {  // bailout pass
-      if (!g[j].active) continue;
-      const BstNode* node = g[j].ptr;
-      const BstNode* next = nullptr;
-      while (!VisitBstNode(node, g[j].key, g[j].rid, sink, &next)) {
-        node = next;
-      }
-    }
-  }
-}
-
-template <typename Sink>
-void BstSearchSoftwarePipelined(const BinarySearchTree& tree,
-                                const Relation& probe, uint64_t begin,
-                                uint64_t end, uint32_t num_stages,
-                                uint32_t distance, Sink& sink) {
-  AMAC_CHECK(num_stages >= 1 && distance >= 1);
-  if (tree.root() == nullptr) return;
-  const uint64_t n = end - begin;
-  const uint64_t window = static_cast<uint64_t>(num_stages) * distance;
-  struct SppState {
-    const BstNode* ptr;
-    int64_t key;
-    bool active;
-  };
-  std::vector<SppState> pipe(window);
-  for (uint64_t i = 0; i < n + window; ++i) {
-    for (uint32_t s = num_stages; s >= 1; --s) {
-      const uint64_t delay = static_cast<uint64_t>(s) * distance;
-      if (i < delay) continue;
-      const uint64_t t = i - delay;
-      if (t >= n) continue;
-      SppState& st = pipe[t % window];
-      if (!st.active) continue;
-      const BstNode* next = nullptr;
-      const uint64_t rid = begin + t;
-      if (VisitBstNode(st.ptr, st.key, rid, sink, &next)) {
-        st.active = false;
-      } else if (s == num_stages) {
-        const BstNode* node = next;  // bailout: finish descent serially
-        while (!VisitBstNode(node, st.key, rid, sink, &next)) node = next;
-        st.active = false;
-      } else {
-        Prefetch(next);
-        st.ptr = next;
-      }
-    }
-    if (i < n) {
-      pipe[i % window] = SppState{tree.root(), probe[begin + i].key, true};
-      Prefetch(tree.root());
-    }
-  }
-}
-
-template <typename Sink>
-void BstSearchAmac(const BinarySearchTree& tree, const Relation& probe,
-                   uint64_t begin, uint64_t end, uint32_t num_inflight,
-                   Sink& sink) {
-  AMAC_CHECK(num_inflight >= 1);
-  if (tree.root() == nullptr) return;
-  struct AmacState {
-    const BstNode* ptr;
-    int64_t key;
-    uint64_t rid;
-    bool active;
-  };
-  std::vector<AmacState> s(num_inflight);
-  uint64_t next_input = begin;
-  uint32_t num_active = 0;
-  for (uint32_t k = 0; k < num_inflight; ++k) {
-    if (next_input < end) {
-      s[k] = AmacState{tree.root(), probe[next_input].key, next_input, true};
-      Prefetch(tree.root());
-      ++next_input;
-      ++num_active;
-    } else {
-      s[k].active = false;
-    }
-  }
-  uint32_t k = 0;
-  while (num_active > 0) {
-    AmacState& st = s[k];
-    if (st.active) {
-      const BstNode* next = nullptr;
-      if (!VisitBstNode(st.ptr, st.key, st.rid, sink, &next)) {
-        Prefetch(next);
-        st.ptr = next;
-      } else if (next_input < end) {
-        st = AmacState{tree.root(), probe[next_input].key, next_input, true};
-        ++next_input;
-      } else {
-        st.active = false;
-        --num_active;
-      }
-    }
-    ++k;
-    if (k == num_inflight) k = 0;
   }
 }
 

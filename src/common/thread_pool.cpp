@@ -1,5 +1,7 @@
 #include "common/thread_pool.h"
 
+#include <chrono>
+
 namespace amac {
 
 void ParallelFor(uint32_t num_threads,
@@ -45,18 +47,23 @@ void ThreadPool::WorkerLoop(uint32_t tid) {
         return stop_ || generation_ != seen || !tasks_.empty();
       };
       // Each time the worker is about to park with nothing to do, run the
-      // idle hook once (outside the lock — it may take other locks), then
-      // block.  The hook runs once per park, not in a spin: the condvar
-      // wait blocks until the next notify.
+      // idle hook (outside the lock — it may take other locks).  While it
+      // reports a backlog the worker polls it on a short timeout; once it
+      // reports none, the condvar wait blocks until the next notify.
       while (!ready()) {
+        bool backlog = false;
         if (idle_) {
-          std::function<void()> idle = idle_;
+          std::function<bool()> idle = idle_;
           lock.unlock();
-          idle();
+          backlog = idle();
           lock.lock();
           if (ready()) break;
         }
-        work_cv_.wait(lock);
+        if (backlog) {
+          work_cv_.wait_for(lock, std::chrono::milliseconds(1));
+        } else {
+          work_cv_.wait(lock);
+        }
       }
       if (stop_) return;
       if (generation_ != seen) {
@@ -116,10 +123,10 @@ bool ThreadPool::TryRunTask() {
   return true;
 }
 
-void ThreadPool::SetIdleTask(std::function<void()> task) {
+void ThreadPool::SetIdleHook(std::function<bool()> hook) {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    idle_ = std::move(task);
+    idle_ = std::move(hook);
   }
   // Wake parked workers so the new hook runs at least once promptly.
   work_cv_.notify_all();
@@ -138,6 +145,24 @@ Range PartitionRange(uint64_t total, uint32_t parts, uint32_t index) {
       static_cast<uint64_t>(index) * base + (index < extra ? index : extra);
   const uint64_t len = base + (index < extra ? 1 : 0);
   return Range{begin, begin + len};
+}
+
+uint64_t ResolveMorselSize(uint64_t num_inputs, uint32_t num_threads,
+                           uint64_t requested, uint32_t inflight) {
+  if (requested > 0) return requested;
+  if (num_inputs == 0) return 1;
+  // Target ~8 morsels per thread so claim-order imbalance evens out, but
+  // keep every morsel large enough that the schedule's in-flight window
+  // (and its fill/drain ramp) is amortized, and cap it so no single claim
+  // dominates the tail.
+  constexpr uint64_t kMaxMorsel = uint64_t{1} << 16;
+  const uint64_t target =
+      num_inputs / (static_cast<uint64_t>(std::max(1u, num_threads)) * 8);
+  // The floor itself must respect the cap, or clamp(lo > hi) is UB for
+  // absurd in-flight widths.
+  const uint64_t floor = std::min(
+      kMaxMorsel, std::max<uint64_t>(1024, 8ull * std::max(1u, inflight)));
+  return std::clamp(target, floor, kMaxMorsel);
 }
 
 void ForRanges(ThreadPool* team, uint64_t count,

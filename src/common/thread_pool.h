@@ -16,6 +16,7 @@
 #include <mutex>
 #include <new>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "common/aligned.h"
@@ -74,15 +75,28 @@ class ThreadPool {
   /// Tasks currently queued (racy snapshot; observability only).
   uint64_t queued_tasks() const;
 
-  /// Install (or clear, with an empty function) a closure every worker runs
-  /// once each time it is about to park with nothing to do.  The epoch
-  /// subsystem hooks EpochManager::AdvanceAndReclaim here so quiescence
-  /// advances and orphaned retirements drain from otherwise-idle workers.
-  /// The closure must be cheap, must not touch the pool, and must tolerate
-  /// concurrent invocation from several workers.
-  void SetIdleTask(std::function<void()> task);
+  /// Install a closure every worker runs each time it is about to park
+  /// with nothing to do.  The closure returns whether a backlog remains;
+  /// while it does, the worker re-runs it after a short timed wait instead
+  /// of blocking until the next task (a void closure reports none).  The
+  /// epoch subsystem hooks EpochManager::AdvanceAndReclaim here so
+  /// quiescence advances and pending retirements drain from otherwise-idle
+  /// workers.  The closure must be cheap, must not touch the pool, and must
+  /// tolerate concurrent invocation from several workers.
+  template <typename Fn>
+  void SetIdleTask(Fn task) {
+    if constexpr (std::is_void_v<std::invoke_result_t<Fn&>>) {
+      SetIdleHook([task = std::move(task)]() mutable {
+        task();
+        return false;
+      });
+    } else {
+      SetIdleHook(std::move(task));
+    }
+  }
 
  private:
+  void SetIdleHook(std::function<bool()> hook);
   void WorkerLoop(uint32_t tid);
 
   const uint32_t num_threads_;
@@ -94,7 +108,7 @@ class ThreadPool {
   uint64_t generation_ = 0;                            ///< guarded by mu_
   uint32_t pending_ = 0;                               ///< guarded by mu_
   std::deque<std::function<void()>> tasks_;            ///< guarded by mu_
-  std::function<void()> idle_;                         ///< guarded by mu_
+  std::function<bool()> idle_;                         ///< guarded by mu_
   bool stop_ = false;                                  ///< guarded by mu_
 };
 
@@ -128,10 +142,16 @@ AlignedBuffer<T> MakeBufferOnTeam(ThreadPool* team, uint64_t count) {
   return buffer;
 }
 
+/// Morsel sizing: `requested` wins when nonzero; otherwise aim for several
+/// morsels per thread (load balance) without dropping below a floor that
+/// keeps the in-flight window busy inside each morsel.
+uint64_t ResolveMorselSize(uint64_t num_inputs, uint32_t num_threads,
+                           uint64_t requested, uint32_t inflight);
+
 /// Atomic work-stealing cursor over [0, total): threads claim fixed-size
 /// morsels until the input is exhausted.  Unlike PartitionRange's static
 /// split, stragglers (skewed chains, latch contention) cannot leave other
-/// threads idle — the morsel-driven parallelism the parallel driver uses.
+/// threads idle — the morsel-driven parallelism the QueryScheduler uses.
 class MorselCursor {
  public:
   MorselCursor(uint64_t total, uint64_t morsel_size)

@@ -27,9 +27,9 @@
 //
 // The engine owns no memory semantics: operations issue their own
 // prefetches (common/prefetch.h) and manage their own latches, exactly as
-// the hand-written kernels do.  Tests verify the hand-written kernels and
-// engine-driven operations produce identical results; the ablation bench
-// measures the abstraction cost.
+// a hand-written kernel would.  Tests check every schedule against the
+// no-prefetch Baseline oracles; the ablation bench measures the abstraction
+// cost against the hand-written Listing-1 AMAC probe.
 #pragma once
 
 #include <algorithm>

@@ -1,8 +1,9 @@
 // Ready-made operations for the generic engine (core/engine.h).
 //
-// These mirror the hand-written kernels in src/join and src/bst so that (a)
-// tests can verify the engine schedules them to identical results and (b)
-// the ablation bench can price the abstraction against hand-written AMAC.
+// These share their per-node visits with the Baseline loops in src/join and
+// src/bst, so (a) tests can check every schedule against those sequential
+// oracles and (b) the ablation bench can price the abstraction against the
+// hand-written Listing-1 AMAC probe.
 // HashBuildOp additionally demonstrates the full Table 1 "Hash Join Build"
 // stage machine with chain walking and latch retry — the generic form the
 // paper tabulates.

@@ -1,7 +1,7 @@
 // Composable Pipeline / Executor API: multi-operator queries fused through
 // one runtime entry point.
 //
-// The unified runtime (core/scheduler.h, core/parallel_driver.h) runs ONE
+// The unified runtime (core/scheduler.h) runs ONE
 // stage machine over N inputs.  Analytics queries are chains of operators —
 // the paper's headline multi-operator workload is a hash-join probe feeding
 // a group-by — and running them as disjoint phases materializes every
@@ -46,11 +46,11 @@
 #include <utility>
 #include <vector>
 
+#include "common/barrier.h"
 #include "common/cycle_timer.h"
 #include "common/hash.h"
 #include "common/prefetch.h"
 #include "common/thread_pool.h"
-#include "core/parallel_driver.h"
 #include "core/run_stats.h"
 #include "core/scheduler.h"
 #include "metrics/perf_counters.h"
@@ -320,7 +320,7 @@ class Pipeline {
   uint64_t size() const { return source_.size(); }
 
   /// Materialize the fused engine operation emitting terminal rows into
-  /// `sink` (one per thread under the parallel driver).
+  /// `sink` (one per execution slot on a multi-thread Executor).
   template <typename Sink>
   FusedOp<Source, Sink, Stages...> Compile(Sink& sink) const {
     return FusedOp<Source, Sink, Stages...>(source_, stages_, sink);
@@ -345,7 +345,7 @@ Pipeline<std::decay_t<Source>> From(Source&& source) {
 
 /// Degenerate pipeline wrapping an existing engine Operation (the
 /// core/engine.h concept).  Executor::Run dispatches it exactly as the free
-/// Run(policy, params, op, n) / RunParallel would, so engine counters are
+/// Run(policy, params, op, n) would, so engine counters are
 /// identical to the free-function path — pinned by the pipeline property
 /// tests.  `make_op(tid)` builds the per-thread operation.
 template <typename OpFactory>
@@ -498,6 +498,35 @@ class Executor {
   ExecConfig config_;
   QueryScheduler scheduler_;
 };
+
+/// Runs `fn(tid, range)` once per thread of `exec` over a static contiguous
+/// split of [0, num_inputs) (inline with one thread), timed between
+/// barriers.  The drivers' kSequential paths run their no-prefetch Baseline
+/// loops through it: no engine schedule is a plain loop without prefetches.
+template <typename Fn>
+RunStats RunPartitioned(Executor& exec, uint64_t num_inputs, Fn&& fn) {
+  RunStats run;
+  run.inputs = num_inputs;
+  const uint32_t threads = std::max(1u, exec.num_threads());
+  run.threads = threads;
+  WallTimer wall;
+  CycleTimer cycles;
+  if (threads == 1) {
+    fn(0u, Range{0, num_inputs});
+  } else {
+    SpinBarrier barrier(threads);
+    exec.pool().Run([&](uint32_t tid) {
+      const Range r = PartitionRange(num_inputs, threads, tid);
+      barrier.Wait();
+      fn(tid, r);
+      barrier.Wait();
+    });
+  }
+  run.cycles = cycles.Elapsed();
+  run.seconds = wall.ElapsedSeconds();
+  run.dispatch_seconds = run.seconds;
+  return run;
+}
 
 // ---------------------------------------------------------------------------
 // Pipelines as scheduler queries

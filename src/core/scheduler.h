@@ -14,8 +14,9 @@
 // policy, including kCoroutine: a generic adapter wraps the stage machine in
 // a C++20 coroutine frame and lets the interleaver do the scheduling, so
 // layers get the §6 "coroutine framework" for free without writing co_await
-// code.  The parallel driver (core/parallel_driver.h) shards any policy
-// across threads with morsel-driven work stealing.
+// code.  The Executor (core/pipeline.h) and QueryScheduler
+// (server/query_scheduler.h) shard any policy across a thread team with
+// morsel-driven work stealing.
 #pragma once
 
 #include <algorithm>
@@ -106,8 +107,8 @@ struct SchedulerParams {
 
 /// Re-bases an operation's [0, n) input indices onto a global range, so an
 /// unmodified op (which indexes the full input) can run over a sub-range —
-/// a morsel in the parallel driver, or a thread's static partition in the
-/// phase drivers.  Part of the runtime's public contract.
+/// a morsel on an Executor / QueryScheduler team, or a thread's static
+/// partition in the phase drivers.  Part of the runtime's public contract.
 template <typename Op>
 class OffsetOp : public VecTypesOf<Op> {
  public:
@@ -143,9 +144,9 @@ namespace detail {
 
 /// Generic coroutine adapter: the operation's stage machine driven from
 /// inside a coroutine frame.  Start()'s prefetch is followed by one
-/// suspension, then each Step() suspends on kParked/kRetry — exactly the
-/// schedule the hand-written coroutine kernels implement, but derived
-/// mechanically from the same Op the other four policies run.
+/// suspension, then each Step() suspends on kParked/kRetry — the schedule
+/// a hand-written co_await kernel would follow, but derived mechanically
+/// from the same Op the other policies run.
 template <typename Op>
 coro::Task OpTask(Op& op, uint64_t idx, EngineStats& stats) {
   typename Op::State state;

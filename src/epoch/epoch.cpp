@@ -68,9 +68,10 @@ void EpochManager::SweepOrphans() {
   SweepList(&orphans_);
 }
 
-void EpochManager::AdvanceAndReclaim() {
+bool EpochManager::AdvanceAndReclaim() {
   TryAdvance();
   SweepOrphans();
+  return reclaimed() < retired();
 }
 
 void EpochManager::ReclaimAll() {

@@ -81,7 +81,10 @@ class EpochManager {
 
   /// The ThreadPool idle hook: try to advance, then sweep the orphan list.
   /// Cheap when there is nothing to do (one atomic load + short scans).
-  void AdvanceAndReclaim();
+  /// Returns whether retirements are still pending afterwards (orphaned or
+  /// in a live guard's list), so idle workers keep driving the epoch until
+  /// they drain instead of parking on them.
+  bool AdvanceAndReclaim();
 
   /// Free every orphaned retirement regardless of epoch.  Only legal when
   /// no guard exists (checked): this is the drain step benches/tests call

@@ -5,7 +5,7 @@
 // target id (dependent access #2), then moves there.  Per-walker RNG state
 // lives inside the operation state, so the walk trajectory — and therefore
 // the result — is completely independent of the schedule: every ExecPolicy
-// of core/scheduler.h (and any thread count under the parallel driver)
+// of core/scheduler.h (and any thread count under the Executor)
 // visits identical vertices.
 //
 // This is the paper's §8 "graph workloads" extension expressed in the §6

@@ -2,10 +2,9 @@
 // through the unified runtime, single- or multi-threaded.
 //
 // The entry point takes an `Executor` (core/pipeline.h) and drives the
-// generic GroupByOp stage machine (morsel-driven when multi-threaded); the
-// hand-written kernels in groupby_kernels.h remain for the ablation bench
-// and kernel tests.  The PR-3 GroupByConfig/GroupByStats shims are gone;
-// the result is the runtime's unified RunStats.
+// generic GroupByOp stage machine (morsel-driven when multi-threaded);
+// kSequential runs the no-prefetch GroupByBaseline loop instead.  The
+// result is the runtime's unified RunStats.
 #pragma once
 
 #include <cstdint>

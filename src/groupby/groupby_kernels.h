@@ -1,26 +1,19 @@
-// Group-by kernels: Baseline, GP, SPP, AMAC.
+// Group-by latch helpers and the no-prefetch Baseline aggregation loop.
 //
 // Every input tuple either updates the aggregates of its key's group node
 // or creates that node — a read/write dependency on the bucket, guarded by
 // the bucket latch.  This is the workload where the paper's §3.2 latch
-// handling matters:
-//
-//  * Baseline/GP/SPP acquire the latch with a spin and perform the whole
-//    latched walk+update in one code stage — their static schedules cannot
-//    park a conflicting lookup, so contention serializes them and the chain
-//    walk under the latch enjoys no prefetch overlap.
-//  * AMAC try-acquires: a failed acquire leaves the lookup parked in its
-//    slot (stage 1) and the engine moves on.  After acquisition, node visits
-//    proceed in a *separate* stage (stage 2) with the latch held — the
-//    "extra intermediate stage" of §3.1 that prevents a lookup from
-//    re-acquiring its own latch after being parked mid-chain.
+// handling matters.  The prefetching schedules all run the generic
+// GroupByOp (groupby/groupby_ops.h), which try-acquires the latch and
+// parks on failure, then walks the chain in a separate latched stage (the
+// "extra intermediate stage" of §3.1).  GroupByBaseline spins on the latch
+// and does the whole latched walk+update in one go; it stays as the
+// sequential oracle and as RunGroupBy's kSequential path (fig09 Baseline).
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "common/macros.h"
-#include "common/prefetch.h"
 #include "groupby/agg_table.h"
 #include "relation/relation.h"
 
@@ -56,7 +49,7 @@ inline void GroupSpinLatch(GroupNode* head) {
   }
 }
 
-/// Latched walk + update/append, all in one go (used by Baseline/GP/SPP).
+/// Latched walk + update/append, all in one go (used by GroupByBaseline).
 /// Caller has already acquired the header latch.
 inline void UpdateOrInsertLocked(AggregateTable& table, GroupNode* head,
                                  int64_t key, int64_t payload) {
@@ -96,153 +89,6 @@ void GroupByBaseline(const Relation& input, uint64_t begin, uint64_t end,
     detail::GroupSpinLatch<kSync>(head);
     detail::UpdateOrInsertLocked(table, head, input[i].key, input[i].payload);
     detail::GroupUnlatch<kSync>(head);
-  }
-}
-
-template <bool kSync>
-void GroupByGroupPrefetch(const Relation& input, uint64_t begin, uint64_t end,
-                          uint32_t group_size, AggregateTable& table) {
-  AMAC_CHECK(group_size >= 1);
-  std::vector<GroupNode*> heads(group_size);
-  for (uint64_t base = begin; base < end; base += group_size) {
-    const uint32_t n_in_group =
-        static_cast<uint32_t>(std::min<uint64_t>(group_size, end - base));
-    for (uint32_t j = 0; j < n_in_group; ++j) {
-      heads[j] = table.HeadForKey(input[base + j].key);
-      PrefetchWrite(heads[j]);
-    }
-    for (uint32_t j = 0; j < n_in_group; ++j) {
-      const Tuple& t = input[base + j];
-      detail::GroupSpinLatch<kSync>(heads[j]);
-      detail::UpdateOrInsertLocked(table, heads[j], t.key, t.payload);
-      detail::GroupUnlatch<kSync>(heads[j]);
-    }
-  }
-}
-
-template <bool kSync>
-void GroupBySoftwarePipelined(const Relation& input, uint64_t begin,
-                              uint64_t end, uint32_t distance,
-                              AggregateTable& table) {
-  AMAC_CHECK(distance >= 1);
-  const uint64_t n = end - begin;
-  std::vector<GroupNode*> pipe(distance);
-  for (uint64_t i = 0; i < n + distance; ++i) {
-    if (i >= distance) {
-      const uint64_t t = i - distance;
-      const Tuple& tup = input[begin + t];
-      GroupNode* head = pipe[t % distance];
-      detail::GroupSpinLatch<kSync>(head);
-      detail::UpdateOrInsertLocked(table, head, tup.key, tup.payload);
-      detail::GroupUnlatch<kSync>(head);
-    }
-    if (i < n) {
-      GroupNode* head = table.HeadForKey(input[begin + i].key);
-      PrefetchWrite(head);
-      pipe[i % distance] = head;
-    }
-  }
-}
-
-/// AMAC group-by (paper Table 1 column 3 plus the §3.1 intermediate stage).
-template <bool kSync>
-void GroupByAmac(const Relation& input, uint64_t begin, uint64_t end,
-                 uint32_t num_inflight, AggregateTable& table) {
-  AMAC_CHECK(num_inflight >= 1);
-  enum : uint8_t { kStageLatch = 1, kStageWalk = 2, kStageIdle = 0 };
-  struct GbState {
-    GroupNode* head;  ///< bucket header (owns the latch)
-    GroupNode* ptr;   ///< node being visited while the latch is held
-    int64_t key;
-    int64_t payload;
-    uint8_t stage;
-  };
-  std::vector<GbState> s(num_inflight);
-
-  uint64_t next_input = begin;
-  uint32_t num_active = 0;
-  for (uint32_t k = 0; k < num_inflight; ++k) {
-    if (next_input < end) {
-      GroupNode* head = table.HeadForKey(input[next_input].key);
-      PrefetchWrite(head);
-      s[k] = GbState{head, nullptr, input[next_input].key,
-                     input[next_input].payload, kStageLatch};
-      ++next_input;
-      ++num_active;
-    } else {
-      s[k].stage = kStageIdle;
-    }
-  }
-
-  // Completes the lookup in slot `st` and immediately initiates the next
-  // input (terminal/initial merge); returns false when input is exhausted.
-  auto refill = [&](GbState& st) {
-    if (next_input < end) {
-      GroupNode* head = table.HeadForKey(input[next_input].key);
-      PrefetchWrite(head);
-      st = GbState{head, nullptr, input[next_input].key,
-                   input[next_input].payload, kStageLatch};
-      ++next_input;
-      return true;
-    }
-    st.stage = kStageIdle;
-    return false;
-  };
-
-  uint32_t k = 0;
-  while (num_active > 0) {
-    GbState& st = s[k];
-    switch (st.stage) {
-      case kStageIdle:
-        break;
-      case kStageLatch:
-        // Single try-acquire; on failure the lookup stays parked here and
-        // the cursor moves on (§3.2: "no spinning on a single lookup").
-        if (detail::GroupTryLatch<kSync>(st.head)) {
-          st.ptr = st.head;
-          st.stage = kStageWalk;
-          // The header was prefetched at initiation; visit it right away.
-          goto walk;
-        }
-        break;
-      case kStageWalk: {
-      walk:
-        GroupNode* node = st.ptr;
-        if (node->used && node->key == st.key) {
-          node->Accumulate(st.payload);
-          detail::GroupUnlatch<kSync>(st.head);
-          if (!refill(st)) --num_active;
-          break;
-        }
-        if (node->used && node->next != nullptr) {
-          Prefetch(node->next);
-          st.ptr = node->next;  // stay in kStageWalk, latch held
-          break;
-        }
-        // End of chain: create the group.
-        if (!node->used) {
-          // Empty header slot (only the header can be unused).
-          AMAC_DCHECK(node == st.head);
-          node->used = 1;
-          node->key = st.key;
-          node->count = 0;
-          node->Accumulate(st.payload);
-        } else {
-          GroupNode* fresh = table.AllocNode();
-          fresh->used = 1;
-          fresh->key = st.key;
-          fresh->count = 0;
-          fresh->Accumulate(st.payload);
-          fresh->next = st.head->next;
-          st.head->next = fresh;
-        }
-        detail::GroupUnlatch<kSync>(st.head);
-        if (!refill(st)) --num_active;
-        break;
-      }
-    }
-    ++k;
-    if (k == num_inflight) k = 0;
   }
 }
 

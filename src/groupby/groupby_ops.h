@@ -1,10 +1,10 @@
 // Group-by aggregation as a generic-engine operation (core/scheduler.h).
 //
-// The stage machine mirrors GroupByAmac (groupby_kernels.h): a try-latch
-// stage that parks with kRetry on conflict, then a latched chain walk with
-// one node visit per Step — the §3.1 "extra intermediate stage" that keeps
-// a parked lookup from re-acquiring its own latch.  With kSync = true the
-// same op runs under the morsel-driven parallel driver against a shared
+// The stage machine is the paper's AMAC group-by (Table 1 column 3): a
+// try-latch stage that parks with kRetry on conflict, then a latched chain
+// walk with one node visit per Step — the §3.1 "extra intermediate stage"
+// that keeps a parked lookup from re-acquiring its own latch.  With kSync =
+// true the same op runs morsel-driven on an Executor team against a shared
 // AggregateTable; aggregation is order-independent, so any policy × thread
 // count combination produces an identical table.
 #pragma once

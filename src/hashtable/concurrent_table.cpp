@@ -22,11 +22,8 @@ ConcurrentChainedTable::ConcurrentChainedTable(uint64_t expected_live,
       (BucketNode::kTuplesPerNode * target));
   const uint64_t num_buckets = NextPow2(std::max<uint64_t>(1, want));
   bucket_mask_ = num_buckets - 1;
+  // BucketNode's member initializers already mark both slots empty.
   buckets_ = AlignedBuffer<BucketNode>(num_buckets, kCacheLineSize);
-  for (BucketNode& b : buckets_) {
-    b.tuples[0].key = BucketNode::kEmptySlotKey;
-    b.tuples[1].key = BucketNode::kEmptySlotKey;
-  }
   uint64_t first = options.initial_overflow_capacity;
   if (first == 0) first = std::max<uint64_t>(64, expected_live / 4);
   slabs_.push_back(std::make_unique<Slab>(first));

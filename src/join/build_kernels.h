@@ -1,27 +1,21 @@
-// Hash join build-phase kernels: Baseline, GP, SPP, AMAC.
+// Hash join build helpers and the no-prefetch Baseline build.
 //
 // The build inserts every R tuple into its bucket.  Inserts use the O(1)
 // header-eviction discipline of the Balkesen table, so the dependent-access
 // chain is exactly one cache line (the bucket header); what the prefetching
-// engines hide is that single miss.  This matches the paper's observation
+// schedules hide is that single miss.  This matches the paper's observation
 // that "the build phase overall is not sensitive to skew because the link
 // list insertions are uniform operations regardless of the data
 // distribution" (§5.1).
 //
-// Latch discipline (§3.2):
-//  * Baseline / GP / SPP spin on a held latch (their static schedule cannot
-//    defer the conflicting lookup).
-//  * AMAC issues a single try-acquire; on failure the insert stays parked in
-//    its circular-buffer slot and is retried when the cursor comes around —
-//    "we still spin on the latch but at a coarser granularity".
-//  * kSync=false elides atomics entirely (single-threaded mode).
+// Every prefetching schedule runs the generic BuildOp / HashBuildOp
+// (join/join_ops.h, core/ops.h) through Run(); they share InsertLocked
+// below.  BuildBaseline stays as the sequential oracle: it spins on a held
+// latch (kSync) or elides atomics entirely (kSync=false, single-threaded).
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
-#include "common/macros.h"
-#include "common/prefetch.h"
 #include "hashtable/chained_table.h"
 #include "relation/relation.h"
 
@@ -31,7 +25,7 @@ namespace detail {
 
 /// Insert with the header-evict discipline; caller holds the latch (or is
 /// single-threaded).  Mirrors ChainedHashTable::InsertInto but lives here
-/// so kernels can inline it.
+/// so BuildOp and BuildBaseline can inline it.
 inline void InsertLocked(ChainedHashTable& ht, BucketNode* head,
                          const Tuple& t) {
   if (head->count == BucketNode::kTuplesPerNode) {
@@ -70,113 +64,6 @@ void BuildBaseline(const Relation& build, uint64_t begin, uint64_t end,
                    ChainedHashTable& ht) {
   for (uint64_t i = begin; i < end; ++i) {
     detail::InsertSpin<kSync>(ht, ht.BucketForKey(build[i].key), build[i]);
-  }
-}
-
-/// GP build: stage 0 prefetches the group's bucket headers (write intent),
-/// stage 1 inserts.  A held latch forces a spin — the group schedule has no
-/// way to defer one insert without stalling the whole group.
-template <bool kSync>
-void BuildGroupPrefetch(const Relation& build, uint64_t begin, uint64_t end,
-                        uint32_t group_size, ChainedHashTable& ht) {
-  AMAC_CHECK(group_size >= 1);
-  std::vector<BucketNode*> heads(group_size);
-  for (uint64_t base = begin; base < end; base += group_size) {
-    const uint32_t n_in_group =
-        static_cast<uint32_t>(std::min<uint64_t>(group_size, end - base));
-    for (uint32_t j = 0; j < n_in_group; ++j) {
-      heads[j] = ht.BucketForKey(build[base + j].key);
-      PrefetchWrite(heads[j]);
-    }
-    for (uint32_t j = 0; j < n_in_group; ++j) {
-      detail::InsertSpin<kSync>(ht, heads[j], build[base + j]);
-    }
-  }
-}
-
-/// SPP build: two code stages (hash+prefetch, insert) with a prefetch
-/// distance, i.e. the insert of tuple i runs `distance` iterations after its
-/// prefetch was issued.
-template <bool kSync>
-void BuildSoftwarePipelined(const Relation& build, uint64_t begin,
-                            uint64_t end, uint32_t distance,
-                            ChainedHashTable& ht) {
-  AMAC_CHECK(distance >= 1);
-  const uint64_t n = end - begin;
-  std::vector<BucketNode*> pipe(distance);
-  for (uint64_t i = 0; i < n + distance; ++i) {
-    if (i >= distance) {
-      const uint64_t t = i - distance;
-      detail::InsertSpin<kSync>(ht, pipe[t % distance], build[begin + t]);
-    }
-    if (i < n) {
-      BucketNode* head = ht.BucketForKey(build[begin + i].key);
-      PrefetchWrite(head);
-      pipe[i % distance] = head;
-    }
-  }
-}
-
-/// AMAC build (paper Table 1, "Hash Join Build"): each in-flight insert owns
-/// a circular-buffer slot.  Stage 1 try-acquires the latch; failure parks
-/// the insert (stage stays 1) and the cursor moves on — the latch retry
-/// happens when the slot comes around again.
-template <bool kSync>
-void BuildAmac(const Relation& build, uint64_t begin, uint64_t end,
-               uint32_t num_inflight, ChainedHashTable& ht) {
-  AMAC_CHECK(num_inflight >= 1);
-  struct BuildState {
-    BucketNode* head;
-    Tuple tuple;
-    bool active;
-  };
-  std::vector<BuildState> s(num_inflight);
-
-  uint64_t next_input = begin;
-  uint32_t num_active = 0;
-  for (uint32_t k = 0; k < num_inflight; ++k) {
-    if (next_input < end) {
-      BucketNode* head = ht.BucketForKey(build[next_input].key);
-      PrefetchWrite(head);
-      s[k] = BuildState{head, build[next_input], true};
-      ++next_input;
-      ++num_active;
-    } else {
-      s[k].active = false;
-    }
-  }
-
-  uint32_t k = 0;
-  while (num_active > 0) {
-    BuildState& st = s[k];
-    if (st.active) {
-      bool inserted;
-      if constexpr (kSync) {
-        if (st.head->latch.TryAcquire()) {
-          detail::InsertLocked(ht, st.head, st.tuple);
-          st.head->latch.Release();
-          inserted = true;
-        } else {
-          inserted = false;  // parked; retried on the next cursor pass
-        }
-      } else {
-        detail::InsertLocked(ht, st.head, st.tuple);
-        inserted = true;
-      }
-      if (inserted) {
-        if (next_input < end) {
-          BucketNode* head = ht.BucketForKey(build[next_input].key);
-          PrefetchWrite(head);
-          st = BuildState{head, build[next_input], true};
-          ++next_input;
-        } else {
-          st.active = false;
-          --num_active;
-        }
-      }
-    }
-    ++k;
-    if (k == num_inflight) k = 0;
   }
 }
 

@@ -6,7 +6,6 @@
 #include "common/barrier.h"
 #include "common/cycle_timer.h"
 #include "common/thread_pool.h"
-#include "core/parallel_driver.h"
 #include "join/join_ops.h"
 #include "plan/plan.h"
 

@@ -1,6 +1,6 @@
 // High-level hash join driver on the unified execution runtime: builds the
 // table from R with a partitioned parallel build and probes it with S
-// through the morsel-driven parallel driver, reporting the cycle/throughput
+// morsel-driven on the Executor's team, reporting the cycle/throughput
 // metrics the paper's tables and figures use.
 //
 // The entry points take an `Executor` (core/pipeline.h), which owns the

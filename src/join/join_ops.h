@@ -1,14 +1,14 @@
 // Hash join build and probe as unified-runtime operations.
 //
 // These are the production stage machines the join driver (hash_join.cpp)
-// feeds to Run(ExecPolicy, ...) and the morsel-driven parallel driver — the
-// same lookup logic as the hand-written kernels in probe_kernels.h /
-// build_kernels.h, but expressed once against the core/engine.h Operation
+// feeds to Run(ExecPolicy, ...) and the Executor — the same lookup logic as
+// the Baseline loops in probe_kernels.h / build_kernels.h (VisitNode,
+// InsertLocked), expressed once against the core/engine.h Operation
 // concept so every schedule (sequential, GP, SPP, AMAC, coroutine) and any
 // thread count run them without join-specific scheduling code.
 //
-// The hand-written kernels remain for the ablation bench (they price the
-// abstraction) and for kernel-level tests; the drivers no longer use them.
+// The hand-written Listing-1 ProbeAmac remains as the ablation bench's
+// abstraction-cost reference; the drivers never use it.
 #pragma once
 
 #include <cstdint>

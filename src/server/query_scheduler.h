@@ -55,7 +55,6 @@
 #include "common/macros.h"
 #include "common/stats.h"
 #include "common/thread_pool.h"
-#include "core/parallel_driver.h"
 #include "core/run_stats.h"
 #include "core/scheduler.h"
 

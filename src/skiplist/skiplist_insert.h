@@ -1,21 +1,18 @@
-// Skip list insert kernels: Baseline, GP, SPP, AMAC (paper Table 1 col 5).
+// Skip list insert helpers (paper Table 1 col 5) and the Baseline insert.
 //
 // An insert is a predecessor search (memory-bound, one stage per candidate
 // node) followed by the splice (CPU-bound: random level generation, node
 // allocation, latch acquire/release loops — §5.4 calls out exactly these
-// function calls).  The AMAC variant keeps the predecessor/successor
-// vectors inside the per-lookup state slot: ~0.5 KB per in-flight lookup,
-// matching §5.4's description of the circular-buffer footprint.
-//
-// Latch discipline mirrors §3.2: Baseline/GP/SPP spin per level;
-// AMAC try-acquires and parks the insert on failure.
+// function calls).  The staged schedules run the generic SkipInsertOp
+// (skiplist/skiplist_write_ops.h), which keeps the predecessor/successor
+// vectors below inside the per-lookup state slot: ~0.5 KB per in-flight
+// lookup, matching §5.4's description of the circular-buffer footprint.
+// SkipInsertBaseline (SkipList::Insert*, spinning per level) stays as the
+// sequential oracle.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
-#include <vector>
 
-#include "common/macros.h"
 #include "common/prefetch.h"
 #include "common/rng.h"
 #include "relation/relation.h"
@@ -23,28 +20,6 @@
 #include "skiplist/skiplist_search.h"
 
 namespace amac {
-
-namespace detail {
-
-template <bool kSync>
-inline bool SkipTryLatch(SkipNode* n) {
-  if constexpr (kSync) {
-    return n->latch.TryAcquire();
-  } else {
-    return n->latch.TryAcquireUnsync();
-  }
-}
-
-template <bool kSync>
-inline void SkipUnlatch(SkipNode* n) {
-  if constexpr (kSync) {
-    n->latch.Release();
-  } else {
-    n->latch.ReleaseUnsync();
-  }
-}
-
-}  // namespace detail
 
 /// Search-phase state of one insert: the cursor plus the collected
 /// predecessor/successor vectors (the 0.5 KB the paper attributes to each
@@ -99,54 +74,6 @@ inline InsertStep SkipInsertSearchStep(InsertSearch& s, int64_t key) {
   }
 }
 
-/// Synchronous splice with Pugh's lock-validate-advance per level
-/// (bottom-up).  Used by Baseline/GP/SPP and by tests. Returns false if a
-/// concurrent duplicate won at level 0.
-template <bool kSync>
-bool SpliceSpin(SkipList& list, InsertSearch& s, uint32_t height,
-                int64_t key, int64_t payload) {
-  SkipNode* node = list.AllocNode(height, key, payload);
-  for (uint32_t l = 0; l < height; ++l) {
-    SkipNode* pred = s.preds[l];
-    while (true) {
-      if constexpr (kSync) {
-        pred->latch.Acquire();
-      } else {
-        (void)detail::SkipTryLatch<false>(pred);
-      }
-      if (SkipNodeDeleted(pred)) {
-        // Dying predecessor (its next[] is being unlinked): re-walk.
-        detail::SkipUnlatch<kSync>(pred);
-        pred = FindPredAtLevel(list, key, l);
-        continue;
-      }
-      SkipNode* succ = LoadNextAcquire(pred, l);
-      if (succ != nullptr && succ->key < key) {
-        detail::SkipUnlatch<kSync>(pred);
-        pred = succ;
-        continue;
-      }
-      if (l == 0 && succ != nullptr && succ->key == key) {
-        if (SkipNodeDeleted(succ)) {
-          // Mid-erase duplicate: wait for the unlink, then splice here
-          // (the erase linearizes before this insert).
-          detail::SkipUnlatch<kSync>(pred);
-          Latch::CpuRelax();
-          continue;
-        }
-        detail::SkipUnlatch<kSync>(pred);
-        return false;
-      }
-      node->next[l] = succ;
-      StoreNextRelease(pred, l, node);
-      detail::SkipUnlatch<kSync>(pred);
-      break;
-    }
-  }
-  ClearSkipNodeLinking(node);
-  return true;
-}
-
 template <bool kSync>
 uint64_t SkipInsertBaseline(SkipList& list, const Relation& input,
                             uint64_t begin, uint64_t end, uint64_t seed) {
@@ -157,240 +84,6 @@ uint64_t SkipInsertBaseline(SkipList& list, const Relation& input,
                           : list.InsertUnsync(input[i].key, input[i].payload,
                                               rng);
     inserted += ok ? 1 : 0;
-  }
-  return inserted;
-}
-
-template <bool kSync>
-uint64_t SkipInsertGroupPrefetch(SkipList& list, const Relation& input,
-                                 uint64_t begin, uint64_t end,
-                                 uint32_t group_size, uint32_t num_stages,
-                                 uint64_t seed) {
-  AMAC_CHECK(group_size >= 1 && num_stages >= 1);
-  Rng rng(seed);
-  uint64_t inserted = 0;
-  struct GpState {
-    InsertSearch search;
-    int64_t key;
-    int64_t payload;
-    uint8_t status;  // 0 = searching, 1 = ready, 2 = dup
-  };
-  std::vector<GpState> g(group_size);
-  for (uint64_t base = begin; base < end; base += group_size) {
-    const uint32_t n_in_group =
-        static_cast<uint32_t>(std::min<uint64_t>(group_size, end - base));
-    for (uint32_t j = 0; j < n_in_group; ++j) {
-      g[j].key = input[base + j].key;
-      g[j].payload = input[base + j].payload;
-      g[j].status = 0;
-      InitInsertSearch(list, g[j].search);
-    }
-    for (uint32_t stage = 0; stage < num_stages; ++stage) {
-      for (uint32_t j = 0; j < n_in_group; ++j) {
-        if (g[j].status != 0) continue;
-        const InsertStep r = SkipInsertSearchStep(g[j].search, g[j].key);
-        if (r == InsertStep::kReady) g[j].status = 1;
-        if (r == InsertStep::kDup) g[j].status = 2;
-      }
-    }
-    for (uint32_t j = 0; j < n_in_group; ++j) {
-      while (g[j].status == 0) {  // search bailout
-        const InsertStep r = SkipInsertSearchStep(g[j].search, g[j].key);
-        if (r == InsertStep::kReady) g[j].status = 1;
-        if (r == InsertStep::kDup) g[j].status = 2;
-      }
-      if (g[j].status == 1) {
-        const uint32_t h = SkipList::RandomHeight(rng);
-        if (SpliceSpin<kSync>(list, g[j].search, h, g[j].key, g[j].payload)) {
-          ++inserted;
-        }
-      }
-    }
-  }
-  return inserted;
-}
-
-template <bool kSync>
-uint64_t SkipInsertSoftwarePipelined(SkipList& list, const Relation& input,
-                                     uint64_t begin, uint64_t end,
-                                     uint32_t num_stages, uint32_t distance,
-                                     uint64_t seed) {
-  AMAC_CHECK(num_stages >= 1 && distance >= 1);
-  Rng rng(seed);
-  uint64_t inserted = 0;
-  const uint64_t n = end - begin;
-  const uint64_t window = static_cast<uint64_t>(num_stages) * distance;
-  struct SppState {
-    InsertSearch search;
-    int64_t key;
-    int64_t payload;
-    bool active;
-  };
-  std::vector<SppState> pipe(window);
-  auto finish = [&](SppState& st) {  // splice once the search is ready
-    const uint32_t h = SkipList::RandomHeight(rng);
-    if (SpliceSpin<kSync>(list, st.search, h, st.key, st.payload)) {
-      ++inserted;
-    }
-    st.active = false;
-  };
-  for (uint64_t i = 0; i < n + window; ++i) {
-    for (uint32_t s = num_stages; s >= 1; --s) {
-      const uint64_t delay = static_cast<uint64_t>(s) * distance;
-      if (i < delay) continue;
-      const uint64_t t = i - delay;
-      if (t >= n) continue;
-      SppState& st = pipe[t % window];
-      if (!st.active) continue;
-      InsertStep r = SkipInsertSearchStep(st.search, st.key);
-      if (r == InsertStep::kParked && s == num_stages) {
-        // Bailout: the pipeline slot expires this iteration.
-        while (r == InsertStep::kParked) {
-          r = SkipInsertSearchStep(st.search, st.key);
-        }
-      }
-      if (r == InsertStep::kReady) {
-        finish(st);
-      } else if (r == InsertStep::kDup) {
-        st.active = false;
-      }
-    }
-    if (i < n) {
-      SppState& st = pipe[i % window];
-      st.key = input[begin + i].key;
-      st.payload = input[begin + i].payload;
-      st.active = true;
-      InitInsertSearch(list, st.search);
-    }
-  }
-  return inserted;
-}
-
-/// AMAC insert: fully asynchronous search *and* splice.  The splice
-/// try-acquires each level's predecessor latch; failure parks the insert in
-/// its slot with no spinning.  No latch is ever held across a park, so the
-/// scheme is deadlock-free by construction.
-template <bool kSync>
-uint64_t SkipInsertAmac(SkipList& list, const Relation& input, uint64_t begin,
-                        uint64_t end, uint32_t num_inflight, uint64_t seed) {
-  AMAC_CHECK(num_inflight >= 1);
-  Rng rng(seed);
-  uint64_t inserted = 0;
-  enum : uint8_t { kIdle = 0, kSearch = 1, kSplice = 2 };
-  struct AmacState {
-    InsertSearch search;  // ~0.5 KB: cursor + pred/succ vectors
-    SkipNode* node;
-    SkipNode* pred;
-    uint32_t height;
-    uint32_t splice_level;
-    int64_t key;
-    int64_t payload;
-    uint8_t stage;
-  };
-  std::vector<AmacState> s(num_inflight);
-
-  uint64_t next_input = begin;
-  uint32_t num_active = 0;
-
-  auto start = [&](AmacState& st) {
-    if (next_input >= end) {
-      st.stage = kIdle;
-      return false;
-    }
-    st.key = input[next_input].key;
-    st.payload = input[next_input].payload;
-    st.stage = kSearch;
-    InitInsertSearch(list, st.search);
-    ++next_input;
-    return true;
-  };
-
-  for (uint32_t k = 0; k < num_inflight; ++k) {
-    if (start(s[k])) ++num_active;
-  }
-
-  uint32_t k = 0;
-  while (num_active > 0) {
-    AmacState& st = s[k];
-    switch (st.stage) {
-      case kIdle:
-        break;
-      case kSearch: {
-        const InsertStep r = SkipInsertSearchStep(st.search, st.key);
-        if (r == InsertStep::kParked) break;
-        if (r == InsertStep::kDup) {
-          if (!start(st)) --num_active;
-          break;
-        }
-        // Table 1 stage 2: "Generate rand. lvl / Get new node".
-        st.height = SkipList::RandomHeight(rng);
-        st.node = list.AllocNode(st.height, st.key, st.payload);
-        st.splice_level = 0;
-        st.pred = st.search.preds[0];
-        st.stage = kSplice;
-        [[fallthrough]];
-      }
-      case kSplice: {
-        // Splice as many levels as latches allow; park on a busy latch or
-        // an uncached advanced predecessor.
-        bool parked = false;
-        bool dup = false;
-        while (st.splice_level < st.height) {
-          const uint32_t l = st.splice_level;
-          SkipNode* pred = st.pred;
-          if (!detail::SkipTryLatch<kSync>(pred)) {
-            parked = true;  // §3.2: move on, retry when the slot comes round
-            break;
-          }
-          if (SkipNodeDeleted(pred)) {
-            // Dying predecessor: re-walk this level, then park (the
-            // re-walk already paid the memory stalls; stay asynchronous).
-            detail::SkipUnlatch<kSync>(pred);
-            st.pred = FindPredAtLevel(list, st.key, l);
-            parked = true;
-            break;
-          }
-          SkipNode* succ = LoadNextAcquire(pred, l);
-          if (succ != nullptr && succ->key < st.key) {
-            // A concurrent insert advanced this level; chase the new
-            // predecessor asynchronously.
-            detail::SkipUnlatch<kSync>(pred);
-            st.pred = succ;
-            PrefetchSkipNode(succ, static_cast<int32_t>(l));
-            parked = true;
-            break;
-          }
-          if (l == 0 && succ != nullptr && succ->key == st.key) {
-            if (SkipNodeDeleted(succ)) {
-              // Mid-erase duplicate: park and retry this level later; the
-              // unlink will finish and this insert then proceeds.
-              detail::SkipUnlatch<kSync>(pred);
-              parked = true;
-              break;
-            }
-            detail::SkipUnlatch<kSync>(pred);
-            dup = true;  // lost the race; abandon the allocated node
-            break;
-          }
-          st.node->next[l] = succ;
-          StoreNextRelease(pred, l, st.node);
-          detail::SkipUnlatch<kSync>(pred);
-          ++st.splice_level;
-          if (st.splice_level < st.height) {
-            st.pred = st.search.preds[st.splice_level];
-          }
-        }
-        if (parked) break;
-        if (!dup) {
-          ClearSkipNodeLinking(st.node);
-          ++inserted;
-        }
-        if (!start(st)) --num_active;
-        break;
-      }
-    }
-    ++k;
-    if (k == num_inflight) k = 0;
   }
   return inserted;
 }

@@ -22,16 +22,17 @@ RunStats RunSkipListSearch(Executor& exec, const SkipList& list,
 
 /// Insert every tuple of `input` into `list` (which is typically empty:
 /// the paper's insert workload "builds a skip list from scratch") under
-/// the executor's policy.  Inserts carry large per-lookup splice state, so
-/// they run the hand-written kernels on the executor's thread team.  The
-/// returned RunStats carry inputs = |input| and outputs = new elements.
+/// the executor's policy: the generic SkipInsertOp, one per execution slot
+/// seeded `seed + slot`; kSequential runs the Baseline insert loop instead
+/// (one static partition per thread, seeded `seed + tid`).  The returned
+/// RunStats carry inputs = |input| and outputs = new elements.
 RunStats RunSkipListInsert(Executor& exec, SkipList* list,
                            const Relation& input, uint64_t seed = 7);
 
 /// Skip list search as a generic-engine operation: one Step() is one
 /// candidate-node visit (SkipSearchStep), so every ExecPolicy in
-/// core/scheduler.h — and the morsel-driven parallel driver — can run
-/// searches without skiplist-specific scheduling code.
+/// core/scheduler.h, single- or multi-threaded, can run searches without
+/// skiplist-specific scheduling code.
 template <typename Sink>
 class SkipSearchOp {
  public:

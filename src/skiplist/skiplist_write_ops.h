@@ -6,9 +6,9 @@
 // SkipInsertOp is fully staged: the predecessor search parks per candidate
 // node (one memory access per Step, reusing the kernel-grade
 // SkipInsertSearchStep) and the splice try-acquires each level's
-// predecessor latch, parking/retrying on contention exactly like the AMAC
-// insert kernel — no latch is ever held across a park, so interleaving is
-// deadlock-free by construction.  SkipEraseOp is a single synchronous Step
+// predecessor latch, parking/retrying on contention (§3.2) — no latch is
+// ever held across a park, so interleaving is deadlock-free by
+// construction.  SkipEraseOp is a single synchronous Step
 // (EraseSync spins internally; erases are the rare op in the serving
 // mixes, and a staged top-down unlink would have to hold the victim latch
 // across parks, which the deadlock argument forbids).
@@ -41,10 +41,12 @@ class SkipInsertOp {
  public:
   struct State {
     InsertSearch search;  // ~0.5 KB: cursor + pred/succ vectors (§5.4)
-    SkipNode* node;
-    SkipNode* pred;
-    uint32_t height;
-    uint32_t splice_level;
+    // The splice fields are set when the search completes; initialized
+    // only so the compiler can see they are never read before that.
+    SkipNode* node = nullptr;
+    SkipNode* pred = nullptr;
+    uint32_t height = 0;
+    uint32_t splice_level = 0;
     int64_t key;
     int64_t payload;
     bool splicing;
@@ -58,11 +60,21 @@ class SkipInsertOp {
         rng_(seed),
         guard_(epochs) {}
 
+  /// Inserts the (key, payload) rows of `input` instead of column arrays.
+  SkipInsertOp(SkipList& list, EpochManager* epochs, const Relation& input,
+               uint64_t seed)
+      : list_(&list), rows_(input.data()), rng_(seed), guard_(epochs) {}
+
   void Start(State& st, uint64_t idx) {
     if (inflight_ == 0) guard_.Refresh();
     ++inflight_;
-    st.key = keys_[idx];
-    st.payload = payloads_[idx];
+    if (rows_ != nullptr) {
+      st.key = rows_[idx].key;
+      st.payload = rows_[idx].payload;
+    } else {
+      st.key = keys_[idx];
+      st.payload = payloads_[idx];
+    }
     st.splicing = false;
     InitInsertSearch(*list_, st.search);
   }
@@ -82,7 +94,7 @@ class SkipInsertOp {
       st.splicing = true;
     }
     // Splice as many levels as latches allow (bottom-up), parking or
-    // retrying instead of spinning — mirrors SkipInsertAmac's kSplice.
+    // retrying instead of spinning.
     while (st.splice_level < st.height) {
       const uint32_t l = st.splice_level;
       SkipNode* pred = st.pred;
@@ -130,8 +142,9 @@ class SkipInsertOp {
 
  private:
   SkipList* list_;
-  const int64_t* keys_;
-  const int64_t* payloads_;
+  const int64_t* keys_ = nullptr;
+  const int64_t* payloads_ = nullptr;
+  const Tuple* rows_ = nullptr;
   Rng rng_;
   EpochGuard guard_;
   WriteStats writes_;

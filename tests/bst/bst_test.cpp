@@ -8,6 +8,8 @@
 #include <tuple>
 
 #include "bst/bst_search.h"
+#include "core/ops.h"
+#include "core/scheduler.h"
 #include "join/hash_join.h"
 #include "join/sink.h"
 #include "relation/relation.h"
@@ -87,25 +89,8 @@ TEST_P(BstSearchEngineTest, FindsEveryKeyAndMatchesBaseline) {
   BstSearchBaseline(tree, probe, 0, probe.size(), baseline);
 
   CountChecksumSink sink;
-  const uint32_t stages = 8;
-  switch (policy) {
-    case ExecPolicy::kSequential:
-      BstSearchBaseline(tree, probe, 0, probe.size(), sink);
-      break;
-    case ExecPolicy::kGroupPrefetch:
-      BstSearchGroupPrefetch(tree, probe, 0, probe.size(), m, stages, sink);
-      break;
-    case ExecPolicy::kSoftwarePipelined:
-      BstSearchSoftwarePipelined(tree, probe, 0, probe.size(), stages,
-                                 std::max(1u, m / stages), sink);
-      break;
-    case ExecPolicy::kAmac:
-      BstSearchAmac(tree, probe, 0, probe.size(), m, sink);
-      break;
-    default:  // kCoroutine/kAdaptive have no hand-written BST kernel
-      ADD_FAILURE() << "no hand kernel for " << ExecPolicyName(policy);
-      break;
-  }
+  BstSearchOp<CountChecksumSink> op(tree, probe, sink);
+  amac::Run(policy, SchedulerParams{m, /*stages=*/8}, op, probe.size());
   EXPECT_EQ(sink.matches(), baseline.matches());
   EXPECT_EQ(sink.checksum(), baseline.checksum());
 }
@@ -125,9 +110,11 @@ TEST(BstSearchTest, EmptyTree) {
   Relation probe(10);
   for (uint64_t i = 0; i < 10; ++i) probe[i] = Tuple{static_cast<int64_t>(i), 0};
   CountChecksumSink sink;
-  BstSearchAmac(tree, probe, 0, probe.size(), 4, sink);
-  EXPECT_EQ(sink.matches(), 0u);
-  BstSearchGroupPrefetch(tree, probe, 0, probe.size(), 4, 2, sink);
+  BstSearchBaseline(tree, probe, 0, probe.size(), sink);
+  for (ExecPolicy policy : kAllExecPolicies) {
+    BstSearchOp<CountChecksumSink> op(tree, probe, sink);
+    amac::Run(policy, SchedulerParams{4, 2}, op, probe.size());
+  }
   EXPECT_EQ(sink.matches(), 0u);
 }
 
@@ -140,8 +127,13 @@ TEST(BstSearchTest, ShortStagesForceBailouts) {
   const Relation probe = MakeForeignKeyRelation(n, n, 86);
   CountChecksumSink base, gp, spp;
   BstSearchBaseline(tree, probe, 0, n, base);
-  BstSearchGroupPrefetch(tree, probe, 0, n, 8, 1, gp);
-  BstSearchSoftwarePipelined(tree, probe, 0, n, 1, 8, spp);
+  BstSearchOp<CountChecksumSink> gp_op(tree, probe, gp);
+  const EngineStats gp_stats =
+      amac::Run(ExecPolicy::kGroupPrefetch, SchedulerParams{8, 1}, gp_op, n);
+  BstSearchOp<CountChecksumSink> spp_op(tree, probe, spp);
+  amac::Run(ExecPolicy::kSoftwarePipelined, SchedulerParams{8, 1}, spp_op, n);
+  // One staged level: every step past a lookup's first runs in the bailout.
+  EXPECT_GT(gp_stats.steps, 2 * n);
   EXPECT_EQ(gp.checksum(), base.checksum());
   EXPECT_EQ(spp.checksum(), base.checksum());
   EXPECT_EQ(base.matches(), n);
@@ -153,7 +145,9 @@ TEST(BstSearchTest, SubrangeHonored) {
   const BinarySearchTree tree = BuildBst(rel);
   const Relation probe = MakeForeignKeyRelation(n, n, 88);
   CountChecksumSink sink;
-  BstSearchAmac(tree, probe, 250, 750, 7, sink);
+  BstSearchOp<CountChecksumSink> op(tree, probe, sink);
+  OffsetOp<decltype(op)> rebased(op, 250);
+  amac::Run(ExecPolicy::kAmac, SchedulerParams{7, 1}, rebased, 500);
   EXPECT_EQ(sink.matches(), 500u);
 }
 

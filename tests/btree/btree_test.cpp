@@ -8,7 +8,9 @@
 #include <map>
 #include <tuple>
 
+#include "btree/btree_ops.h"
 #include "btree/btree_search.h"
+#include "core/scheduler.h"
 #include "join/hash_join.h"
 #include "join/sink.h"
 #include "relation/relation.h"
@@ -117,26 +119,8 @@ TEST_P(BTreeSearchEngineTest, MatchesBaseline) {
 
   CountChecksumSink baseline, sink;
   BTreeSearchBaseline(tree, probe, 0, probe.size(), baseline);
-  const uint32_t stages = tree.height();
-  switch (policy) {
-    case ExecPolicy::kSequential:
-      BTreeSearchBaseline(tree, probe, 0, probe.size(), sink);
-      break;
-    case ExecPolicy::kGroupPrefetch:
-      BTreeSearchGroupPrefetch(tree, probe, 0, probe.size(), m, stages,
-                               sink);
-      break;
-    case ExecPolicy::kSoftwarePipelined:
-      BTreeSearchSoftwarePipelined(tree, probe, 0, probe.size(), stages,
-                                   std::max(1u, m / stages), sink);
-      break;
-    case ExecPolicy::kAmac:
-      BTreeSearchAmac(tree, probe, 0, probe.size(), m, sink);
-      break;
-    default:  // kCoroutine/kAdaptive have no hand-written btree kernel
-      ADD_FAILURE() << "no hand kernel for " << ExecPolicyName(policy);
-      break;
-  }
+  BTreeSearchOp<CountChecksumSink> op(tree, probe, sink);
+  amac::Run(policy, SchedulerParams{m, tree.height()}, op, probe.size());
   EXPECT_EQ(sink.matches(), baseline.matches()) << ExecPolicyName(policy);
   EXPECT_EQ(sink.checksum(), baseline.checksum()) << ExecPolicyName(policy);
 }
@@ -158,8 +142,11 @@ TEST(BTreeSearchTest, UnderProvisionedStagesStillCorrect) {
   const Relation probe = MakeForeignKeyRelation(n, n, 206);
   CountChecksumSink base, gp, spp;
   BTreeSearchBaseline(tree, probe, 0, n, base);
-  BTreeSearchGroupPrefetch(tree, probe, 0, n, 8, 1, gp);  // bailout-heavy
-  BTreeSearchSoftwarePipelined(tree, probe, 0, n, 1, 8, spp);
+  // One provisioned stage on a multi-level tree: bailout-heavy.
+  BTreeSearchOp<CountChecksumSink> gp_op(tree, probe, gp);
+  amac::Run(ExecPolicy::kGroupPrefetch, SchedulerParams{8, 1}, gp_op, n);
+  BTreeSearchOp<CountChecksumSink> spp_op(tree, probe, spp);
+  amac::Run(ExecPolicy::kSoftwarePipelined, SchedulerParams{8, 1}, spp_op, n);
   EXPECT_EQ(gp.checksum(), base.checksum());
   EXPECT_EQ(spp.checksum(), base.checksum());
   EXPECT_EQ(base.matches(), n);

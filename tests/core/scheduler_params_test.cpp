@@ -2,16 +2,17 @@
 //  * SchedulerParams::SppDistance() — the derived SPP prefetch distance
 //    must be well-defined (>= 1) for every inflight/stages combination,
 //    including the degenerate zeros, and an explicit override must win;
-//  * morsel sharding edge cases — RunParallel must execute every input
-//    exactly once when the input count is smaller than the in-flight
-//    window, smaller than the thread count, or zero.
+//  * morsel sharding edge cases — a multi-thread Executor must execute
+//    every input exactly once when the input count is smaller than the
+//    in-flight window, smaller than the thread count, or zero.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <memory>
 #include <vector>
 
-#include "core/parallel_driver.h"
+#include "common/thread_pool.h"
+#include "core/pipeline.h"
 #include "core/scheduler.h"
 
 namespace amac {
@@ -84,6 +85,23 @@ TEST(SchedulerParamsTest, ExplicitSppDistanceOverrideWins) {
 
 // -- ResolveMorselSize ------------------------------------------------------
 
+TEST(ResolveMorselSizeTest, RequestedSizeWins) {
+  EXPECT_EQ(ResolveMorselSize(1 << 20, 4, 777, 10), 777u);
+}
+
+TEST(ResolveMorselSizeTest, AutoSizeStaysWithinBounds) {
+  // Small inputs: floored so the in-flight window stays busy.
+  EXPECT_GE(ResolveMorselSize(100, 4, 0, 10), 100u);
+  // Large inputs: capped so no single claim dominates the tail.
+  EXPECT_LE(ResolveMorselSize(uint64_t{1} << 32, 2, 0, 10),
+            uint64_t{1} << 16);
+  // Zero inputs must still return a nonzero morsel (cursor contract).
+  EXPECT_GE(ResolveMorselSize(0, 4, 0, 10), 1u);
+  // Absurd in-flight widths must not push the floor past the cap.
+  EXPECT_EQ(ResolveMorselSize(uint64_t{1} << 20, 2, 0, 9000),
+            uint64_t{1} << 16);
+}
+
 TEST(ResolveMorselSizeTest, AlwaysAtLeastOneAndRequestedWins) {
   for (uint64_t inputs : {0ull, 1ull, 7ull, 1000ull, 1ull << 22}) {
     for (uint32_t threads : {0u, 1u, 3u, 64u}) {
@@ -137,13 +155,10 @@ void ExpectEveryInputExactlyOnce(uint64_t num_inputs, uint32_t threads,
   auto slots = std::make_unique<std::atomic<uint32_t>[]>(
       num_inputs > 0 ? num_inputs : 1);
   for (uint64_t i = 0; i < num_inputs; ++i) slots[i] = 0;
-  ParallelDriverConfig config;
-  config.policy = policy;
-  config.params = SchedulerParams{inflight, 2, 0};
-  config.num_threads = threads;
-  config.morsel_size = morsel_size;
-  const ParallelDriverStats stats = RunParallel(
-      config, num_inputs, [&](uint32_t) { return MarkOp(slots.get()); });
+  Executor exec(ExecConfig{policy, SchedulerParams{inflight, 2, 0}, threads,
+                           morsel_size});
+  const RunStats stats = exec.Run(
+      FromOp(num_inputs, [&](uint32_t) { return MarkOp(slots.get()); }));
   EXPECT_EQ(stats.engine.lookups, num_inputs)
       << ExecPolicyName(policy) << " threads=" << threads
       << " inflight=" << inflight;

@@ -1,11 +1,13 @@
 // Unified-runtime tests: every ExecPolicy dispatched through the single
-// amac::Run(policy, params, op, n) entry point must produce results identical to
-// the layer's hand-written baseline — for every ported layer (hash probe,
-// hash build, BST, B+-tree, skip list, group-by, graph walks).
+// amac::Run(policy, params, op, n) entry point must produce results
+// identical to the layer's no-prefetch Baseline loop — for every ported
+// layer (hash probe, hash build, BST, B+-tree, skip list, group-by, graph
+// walks).
 #include "core/scheduler.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -20,6 +22,7 @@
 #include "graph/graph_ops.h"
 #include "groupby/groupby_kernels.h"
 #include "groupby/groupby_ops.h"
+#include "join/build_kernels.h"
 #include "join/probe_kernels.h"
 #include "join/sink.h"
 #include "relation/relation.h"
@@ -121,12 +124,23 @@ TEST(SchedulerTest, HashProbeAllPoliciesMatchBaseline) {
 
 TEST(SchedulerTest, HashBuildAllPoliciesBuildIdenticalTables) {
   const Relation rel = MakeZipfRelation(4000, 1200, 0.6, 213);
+  ChainedHashTable base(rel.size(), ChainedHashTable::Options{});
+  BuildBaseline<false>(rel, 0, rel.size(), base);
   for (ExecPolicy policy : kAllExecPolicies) {
     ChainedHashTable table(rel.size(), ChainedHashTable::Options{});
     HashBuildOp<false> op(table, rel);
     amac::Run(policy, kParams, op, rel.size());
     EXPECT_EQ(table.ComputeStats().total_tuples, rel.size())
         << ExecPolicyName(policy);
+    // Same payload multiset per key as the Baseline build.
+    for (int64_t key = 1; key <= 1200; ++key) {
+      std::vector<int64_t> got, want;
+      table.FindAll(key, &got);
+      base.FindAll(key, &want);
+      std::sort(got.begin(), got.end());
+      std::sort(want.begin(), want.end());
+      ASSERT_EQ(got, want) << ExecPolicyName(policy) << " key=" << key;
+    }
   }
 }
 

@@ -1,17 +1,21 @@
-// Coroutine interleaver tests: the coroutine implementations must produce
-// results identical to the hand-written AMAC kernels.
-#include "coro/coro_ops.h"
+// Coroutine interleaver tests: the task mechanics, and the generic
+// coroutine adapter (ExecPolicy::kCoroutine) running each layer's op to
+// results identical to the hand Listing-1 probe and the Baseline oracles.
+#include "coro/interleaver.h"
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "bst/bst_search.h"
-#include "coro/interleaver.h"
+#include "core/ops.h"
+#include "core/scheduler.h"
 #include "coro/task.h"
+#include "join/join_ops.h"
 #include "join/probe_kernels.h"
 #include "join/sink.h"
 #include "relation/relation.h"
+#include "skiplist/skiplist_ops.h"
 
 namespace amac {
 namespace {
@@ -70,7 +74,15 @@ TEST(CoroInterleaverTest, ZeroInputsIsNoop) {
   SUCCEED();
 }
 
-// --- coroutine kernels vs hand-written --------------------------------------
+// --- the generic coroutine adapter vs the oracles ---------------------------
+
+/// Runs `op` over [begin, end) under the coroutine schedule of `width`.
+template <typename Op>
+void RunCoroutine(Op& op, uint64_t begin, uint64_t end, uint32_t width) {
+  OffsetOp<Op> rebased(op, begin);
+  amac::Run(ExecPolicy::kCoroutine, SchedulerParams{width, 1}, rebased,
+      end - begin);
+}
 
 TEST(CoroProbeTest, MatchesHandWrittenAmac) {
   const uint64_t n = 4000;
@@ -81,7 +93,8 @@ TEST(CoroProbeTest, MatchesHandWrittenAmac) {
 
   CountChecksumSink hand, coro_sink;
   ProbeAmac<false>(table, probe, 0, probe.size(), 10, hand);
-  coro::ProbeInterleaved<false>(table, probe, 0, probe.size(), 10, coro_sink);
+  ProbeOp<false, CountChecksumSink> op(table, probe, coro_sink);
+  RunCoroutine(op, 0, probe.size(), 10);
   EXPECT_EQ(coro_sink.matches(), hand.matches());
   EXPECT_EQ(coro_sink.checksum(), hand.checksum());
 }
@@ -93,7 +106,8 @@ TEST(CoroProbeTest, EarlyExitUniqueKeys) {
   ChainedHashTable table(build.size(), ChainedHashTable::Options{});
   BuildTableUnsync(build, &table);
   CountChecksumSink sink;
-  coro::ProbeInterleaved<true>(table, probe, 0, n, 8, sink);
+  ProbeOp<true, CountChecksumSink> op(table, probe, sink);
+  RunCoroutine(op, 0, n, 8);
   EXPECT_EQ(sink.matches(), n);
 }
 
@@ -104,7 +118,8 @@ TEST(CoroBstTest, MatchesBaseline) {
   const Relation probe = MakeZipfRelation(n, n + 100, 0.0, 126);
   CountChecksumSink base, coro_sink;
   BstSearchBaseline(tree, probe, 0, probe.size(), base);
-  coro::BstSearchInterleaved(tree, probe, 0, probe.size(), 10, coro_sink);
+  BstSearchOp<CountChecksumSink> op(tree, probe, coro_sink);
+  RunCoroutine(op, 0, probe.size(), 10);
   EXPECT_EQ(coro_sink.matches(), base.matches());
   EXPECT_EQ(coro_sink.checksum(), base.checksum());
 }
@@ -118,7 +133,8 @@ TEST(CoroSkipListTest, MatchesBaseline) {
   const Relation probe = MakeZipfRelation(n, n + 50, 0.0, 128);
   CountChecksumSink base, coro_sink;
   SkipSearchBaseline(list, probe, 0, probe.size(), base);
-  coro::SkipSearchInterleaved(list, probe, 0, probe.size(), 8, coro_sink);
+  SkipSearchOp<CountChecksumSink> op(list, probe, coro_sink);
+  RunCoroutine(op, 0, probe.size(), 8);
   EXPECT_EQ(coro_sink.matches(), base.matches());
   EXPECT_EQ(coro_sink.checksum(), base.checksum());
 }
@@ -130,7 +146,8 @@ TEST(CoroProbeTest, SubrangeHonored) {
   ChainedHashTable table(build.size(), ChainedHashTable::Options{});
   BuildTableUnsync(build, &table);
   CountChecksumSink sink;
-  coro::ProbeInterleaved<true>(table, probe, 200, 700, 4, sink);
+  ProbeOp<true, CountChecksumSink> op(table, probe, sink);
+  RunCoroutine(op, 200, 700, 4);
   EXPECT_EQ(sink.matches(), 500u);
 }
 

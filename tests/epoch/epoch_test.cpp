@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -144,19 +145,33 @@ TEST(EpochTest, ThreadPoolIdleHookDrivesReclamation) {
   ThreadPool pool(3);  // 2 background workers to run the idle hook
   EpochManager mgr;
   std::atomic<uint64_t> freed{0};
-  pool.SetIdleTask([&mgr] { mgr.AdvanceAndReclaim(); });
-  {
+  pool.SetIdleTask([&mgr] { return mgr.AdvanceAndReclaim(); });
+  // A lagging reader holds the epoch while a task retires a node, so the
+  // workers go idle with the retiree still pending.
+  std::optional<EpochGuard> reader(std::in_place, &mgr);
+  pool.Submit([&mgr, &freed] {
     EpochGuard guard(&mgr);
     guard.Retire(nullptr, &CountFree, &freed);
-  }  // orphaned: only the idle hook can free it now
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  });
+  while (mgr.retired() == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(freed.load(), 0u);
+  // The reader leaves and no task ever arrives again: only idle workers
+  // still polling their backlog can drive the two advances that free it.
+  const auto start = std::chrono::steady_clock::now();
+  reader.reset();
+  const auto deadline = start + std::chrono::seconds(10);
   while (freed.load() == 0 &&
          std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
+  const auto latency = std::chrono::steady_clock::now() - start;
   EXPECT_EQ(freed.load(), 1u);
   EXPECT_GE(mgr.advances(), 2u);
+  // Idle workers re-poll a pending backlog every millisecond.
+  EXPECT_LT(latency, std::chrono::seconds(1));
 }
 
 TEST(EpochTest, ConcurrentChurnReclaimsEverythingEventually) {

@@ -10,7 +10,9 @@
 #include <map>
 #include <tuple>
 
+#include "core/scheduler.h"
 #include "groupby/groupby_kernels.h"
+#include "groupby/groupby_ops.h"
 
 namespace amac {
 namespace {
@@ -91,16 +93,14 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(GroupByTest, EnginesAgreeOnChecksum) {
   const Relation input = MakeZipfRelation(6000, 2000, 1.0, 73);
-  Executor base_exec(
-      ExecConfig{ExecPolicy::kSequential, SchedulerParams{10, 1, 0}, 1, 0});
   AggregateTable base_table(4000, AggregateTable::Options{});
-  const RunStats base = RunGroupBy(base_exec, input, &base_table);
-  for (ExecPolicy policy : {ExecPolicy::kGroupPrefetch, ExecPolicy::kSoftwarePipelined, ExecPolicy::kAmac}) {
+  GroupByBaseline<false>(input, 0, input.size(), base_table);
+  for (ExecPolicy policy : kAllExecPolicies) {
     Executor exec(ExecConfig{policy, SchedulerParams{10, 1, 0}, 1, 0});
     AggregateTable table(4000, AggregateTable::Options{});
     const RunStats run = RunGroupBy(exec, input, &table);
-    EXPECT_EQ(run.outputs, base.outputs) << ExecPolicyName(policy);
-    EXPECT_EQ(run.checksum, base.checksum) << ExecPolicyName(policy);
+    EXPECT_EQ(run.outputs, base_table.CountGroups()) << ExecPolicyName(policy);
+    EXPECT_EQ(run.checksum, base_table.Checksum()) << ExecPolicyName(policy);
   }
 }
 
@@ -127,8 +127,12 @@ TEST(GroupByTest, SingleHotKeyFullContention) {
 TEST(GroupByTest, AmacTinyWindow) {
   const Relation input = MakeGroupByInput(300, 3, 74);
   AggregateTable table(600, AggregateTable::Options{});
-  GroupByAmac<false>(input, 0, input.size(), 1, table);
+  GroupByOp<false> op(table, input);
+  amac::Run(ExecPolicy::kAmac, SchedulerParams{1, 1}, op, input.size());
   EXPECT_EQ(table.CountGroups(), 300u);
+  AggregateTable baseline(600, AggregateTable::Options{});
+  GroupByBaseline<false>(input, 0, input.size(), baseline);
+  EXPECT_EQ(table.Checksum(), baseline.Checksum());
 }
 
 TEST(GroupByTest, EmptyInput) {

@@ -1,14 +1,17 @@
-// Build-kernel equivalence: every engine's build must produce a table with
-// the same per-key contents as the reference build, single- and
-// multi-threaded, for uniform and skewed key distributions.
+// Build equivalence: every schedule's build must produce a table with the
+// same per-key contents as the reference build, single- and
+// multi-threaded, for uniform and skewed key distributions; the generic
+// BuildOp's chains match the Baseline build's exactly at edge-case windows.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
 #include <vector>
 
+#include "core/scheduler.h"
 #include "join/build_kernels.h"
 #include "join/hash_join.h"
+#include "join/join_ops.h"
 #include "relation/relation.h"
 
 namespace amac {
@@ -87,25 +90,41 @@ INSTANTIATE_TEST_SUITE_P(AllEngines, BuildEngineTest,
                            return ExecPolicyName(info.param);
                          });
 
-TEST(BuildKernelTest, AmacBuildWithTinyWindow) {
-  const Relation rel = MakeDenseUniqueRelation(1000, 54);
+/// Builds `rel` with the generic BuildOp under `policy` and expects chains
+/// bitwise-identical to the Baseline build's (single-Step inserts complete
+/// in input order under every schedule).
+void ExpectBuildMatchesBaseline(ExecPolicy policy,
+                                const SchedulerParams& params,
+                                const Relation& rel) {
+  ChainedHashTable baseline(rel.size(), ChainedHashTable::Options{});
+  BuildBaseline<false>(rel, 0, rel.size(), baseline);
   ChainedHashTable table(rel.size(), ChainedHashTable::Options{});
-  BuildAmac<false>(rel, 0, rel.size(), 1, table);
+  BuildOp<false> op(table, rel);
+  amac::Run(policy, params, op, rel.size());
   EXPECT_EQ(table.ComputeStats().total_tuples, rel.size());
+  for (uint64_t b = 0; b < table.num_buckets(); ++b) {
+    std::vector<Tuple> got, want;
+    table.CollectChain(b, &got);
+    baseline.CollectChain(b, &want);
+    ASSERT_EQ(got, want) << ExecPolicyName(policy) << " bucket " << b;
+  }
+}
+
+TEST(BuildKernelTest, AmacBuildWithTinyWindow) {
+  ExpectBuildMatchesBaseline(ExecPolicy::kAmac, SchedulerParams{1, 1},
+                             MakeDenseUniqueRelation(1000, 54));
 }
 
 TEST(BuildKernelTest, SppBuildWithLargeDistance) {
-  const Relation rel = MakeDenseUniqueRelation(100, 55);
-  ChainedHashTable table(rel.size(), ChainedHashTable::Options{});
-  BuildSoftwarePipelined<false>(rel, 0, rel.size(), 64, table);
-  EXPECT_EQ(table.ComputeStats().total_tuples, rel.size());
+  ExpectBuildMatchesBaseline(ExecPolicy::kSoftwarePipelined,
+                             SchedulerParams{64, 1},
+                             MakeDenseUniqueRelation(100, 55));
 }
 
 TEST(BuildKernelTest, GpBuildGroupLargerThanInput) {
-  const Relation rel = MakeDenseUniqueRelation(10, 56);
-  ChainedHashTable table(rel.size(), ChainedHashTable::Options{});
-  BuildGroupPrefetch<false>(rel, 0, rel.size(), 64, table);
-  EXPECT_EQ(table.ComputeStats().total_tuples, rel.size());
+  ExpectBuildMatchesBaseline(ExecPolicy::kGroupPrefetch,
+                             SchedulerParams{64, 1},
+                             MakeDenseUniqueRelation(10, 56));
 }
 
 }  // namespace

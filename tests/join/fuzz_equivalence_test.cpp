@@ -9,11 +9,12 @@
 
 #include "common/rng.h"
 #include "core/ops.h"
-#include "join/join_ops.h"
-#include "core/parallel_driver.h"
+#include "core/pipeline.h"
 #include "core/scheduler.h"
 #include "groupby/groupby.h"
+#include "groupby/groupby_kernels.h"
 #include "join/hash_join.h"
+#include "join/join_ops.h"
 #include "join/probe_kernels.h"
 #include "join/sink.h"
 #include "relation/relation.h"
@@ -46,31 +47,38 @@ TEST_P(JoinFuzzTest, RandomWorkloadAllEnginesAgree) {
     ProbeBaseline<false>(table, s, 0, s.size(), base);
   }
 
+  // Random tuning over the random table shape: the generic op under every
+  // static policy, plus the hand Listing-1 probe.
   const uint32_t m = 1 + static_cast<uint32_t>(rng.NextBounded(20));
   const uint32_t stages = 1 + static_cast<uint32_t>(rng.NextBounded(5));
-  const uint32_t dist = std::max<uint32_t>(1, m / stages);
-  for (int engine = 0; engine < 3; ++engine) {
-    CountChecksumSink sink;
-    if (early_exit) {
-      switch (engine) {
-        case 0: ProbeGroupPrefetch<true>(table, s, 0, s.size(), m, stages, sink); break;
-        case 1: ProbeSoftwarePipelined<true>(table, s, 0, s.size(), stages, dist, sink); break;
-        case 2: ProbeAmac<true>(table, s, 0, s.size(), m, sink); break;
-      }
-    } else {
-      switch (engine) {
-        case 0: ProbeGroupPrefetch<false>(table, s, 0, s.size(), m, stages, sink); break;
-        case 1: ProbeSoftwarePipelined<false>(table, s, 0, s.size(), stages, dist, sink); break;
-        case 2: ProbeAmac<false>(table, s, 0, s.size(), m, sink); break;
-      }
-    }
+  const SchedulerParams params{m, stages};
+  const auto expect_oracle = [&](const CountChecksumSink& sink,
+                                 const char* engine) {
     EXPECT_EQ(sink.matches(), base.matches())
-        << "engine " << engine << " m=" << m << " stages=" << stages
+        << engine << " m=" << m << " stages=" << stages
         << " early=" << early_exit;
     EXPECT_EQ(sink.checksum(), base.checksum())
-        << "engine " << engine << " m=" << m << " stages=" << stages
+        << engine << " m=" << m << " stages=" << stages
         << " early=" << early_exit;
+  };
+  for (ExecPolicy policy : kAllExecPolicies) {
+    CountChecksumSink sink;
+    if (early_exit) {
+      ProbeOp<true, CountChecksumSink> op(table, s, sink);
+      amac::Run(policy, params, op, s.size());
+    } else {
+      ProbeOp<false, CountChecksumSink> op(table, s, sink);
+      amac::Run(policy, params, op, s.size());
+    }
+    expect_oracle(sink, ExecPolicyName(policy));
   }
+  CountChecksumSink hand;
+  if (early_exit) {
+    ProbeAmac<true>(table, s, 0, s.size(), m, hand);
+  } else {
+    ProbeAmac<false>(table, s, 0, s.size(), m, hand);
+  }
+  expect_oracle(hand, "hand AMAC");
 }
 
 TEST_P(JoinFuzzTest, RandomGroupByAllEnginesAgree) {
@@ -81,18 +89,17 @@ TEST_P(JoinFuzzTest, RandomGroupByAllEnginesAgree) {
   const Relation input =
       MakeZipfRelation(tuples, groups, theta, GetParam() + 5);
 
-  Executor base_exec(
-      ExecConfig{ExecPolicy::kSequential, SchedulerParams{10, 1, 0}, 1, 0});
   AggregateTable base_table(groups * 2, AggregateTable::Options{});
-  const RunStats base = RunGroupBy(base_exec, input, &base_table);
+  GroupByBaseline<false>(input, 0, input.size(), base_table);
   const uint32_t inflight = 1 + static_cast<uint32_t>(rng.NextBounded(16));
-  for (ExecPolicy policy : {ExecPolicy::kGroupPrefetch, ExecPolicy::kSoftwarePipelined, ExecPolicy::kAmac}) {
+  for (ExecPolicy policy : kAllExecPolicies) {
     Executor exec(
         ExecConfig{policy, SchedulerParams{inflight, 1, 0}, 1, 0});
     AggregateTable table(groups * 2, AggregateTable::Options{});
     const RunStats run = RunGroupBy(exec, input, &table);
-    EXPECT_EQ(run.outputs, base.outputs) << ExecPolicyName(policy);
-    EXPECT_EQ(run.checksum, base.checksum)
+    EXPECT_EQ(run.outputs, base_table.CountGroups())
+        << ExecPolicyName(policy);
+    EXPECT_EQ(run.checksum, base_table.Checksum())
         << ExecPolicyName(policy) << " inflight=" << inflight;
   }
 }
@@ -125,24 +132,19 @@ TEST_P(JoinFuzzTest, RandomWorkloadUnifiedRuntimeAgrees) {
   for (ExecPolicy policy : kAllExecPolicies) {
     for (uint32_t width : {1u, 4u, 10u}) {
       for (uint32_t threads : {1u, 4u}) {
-        ParallelDriverConfig config;
-        config.policy = policy;
-        config.params = SchedulerParams{width, stages};
-        config.num_threads = threads;
         // Small morsels so multi-thread runs really interleave claims.
-        config.morsel_size = 256;
+        Executor exec(ExecConfig{policy, SchedulerParams{width, stages},
+                                 threads, 256});
         std::vector<CountChecksumSink> sinks(threads);
-        ParallelDriverStats stats;
+        RunStats stats;
         if (early_exit) {
-          stats = RunParallel(config, s.size(), [&](uint32_t tid) {
-            return ProbeOp<true, CountChecksumSink>(table, s,
-                                                        sinks[tid]);
-          });
+          stats = exec.Run(FromOp(s.size(), [&](uint32_t tid) {
+            return ProbeOp<true, CountChecksumSink>(table, s, sinks[tid]);
+          }));
         } else {
-          stats = RunParallel(config, s.size(), [&](uint32_t tid) {
-            return ProbeOp<false, CountChecksumSink>(table, s,
-                                                         sinks[tid]);
-          });
+          stats = exec.Run(FromOp(s.size(), [&](uint32_t tid) {
+            return ProbeOp<false, CountChecksumSink>(table, s, sinks[tid]);
+          }));
         }
         CountChecksumSink merged;
         for (const auto& sink : sinks) merged.Merge(sink);

@@ -9,7 +9,7 @@
 #include <algorithm>
 #include <vector>
 
-#include "core/parallel_driver.h"
+#include "core/pipeline.h"
 #include "join/hash_join.h"
 #include "join/join_ops.h"
 #include "relation/relation.h"
@@ -121,14 +121,9 @@ TEST(SyncBuildOpTest, LatchedSharedTableBuildUnderContention) {
   for (ExecPolicy policy : kAllExecPolicies) {
     for (uint32_t threads : {2u, 4u}) {
       ChainedHashTable table(rel.size(), ChainedHashTable::Options{});
-      ParallelDriverConfig config;
-      config.policy = policy;
-      config.params = SchedulerParams{8, 2};
-      config.num_threads = threads;
-      config.morsel_size = 256;
-      const ParallelDriverStats stats = RunParallel(
-          config, rel.size(),
-          [&](uint32_t) { return BuildOp<true>(table, rel); });
+      Executor exec(ExecConfig{policy, SchedulerParams{8, 2}, threads, 256});
+      const RunStats stats = exec.Run(FromOp(
+          rel.size(), [&](uint32_t) { return BuildOp<true>(table, rel); }));
       EXPECT_EQ(stats.engine.lookups, rel.size())
           << ExecPolicyName(policy) << " threads=" << threads;
       for (int64_t key = 0; key < 16; ++key) {

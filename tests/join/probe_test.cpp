@@ -1,14 +1,17 @@
-// Equivalence tests for the four probe kernels: on any table and probe
-// relation, GP/SPP/AMAC must produce exactly the baseline's join result
-// (same match count, same order-independent checksum), for any tuning
-// parameters.  Parameterized sweeps cover distributions x engines x M.
+// Equivalence tests for the probe: on any table and probe relation, the
+// generic ProbeOp under GP/SPP/AMAC must produce exactly the Baseline
+// loop's join result (same match count, same order-independent checksum),
+// for any tuning parameters.  Parameterized sweeps cover distributions x
+// schedules x M; the ProbeTest cases also pin the hand Listing-1 ProbeAmac.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <tuple>
 #include <vector>
 
+#include "core/scheduler.h"
 #include "join/hash_join.h"
+#include "join/join_ops.h"
 #include "join/probe_kernels.h"
 #include "join/sink.h"
 #include "relation/relation.h"
@@ -21,30 +24,18 @@ struct ProbeCase {
   const Relation& probe;
 };
 
+/// kSequential is the Baseline oracle loop; every other policy runs the
+/// generic ProbeOp through amac::Run().
 template <bool kEarlyExit>
 CountChecksumSink RunEngine(ExecPolicy policy, const ChainedHashTable& table,
                             const Relation& probe, uint32_t m,
                             uint32_t stages) {
   CountChecksumSink sink;
-  switch (policy) {
-    case ExecPolicy::kSequential:
-      ProbeBaseline<kEarlyExit>(table, probe, 0, probe.size(), sink);
-      break;
-    case ExecPolicy::kGroupPrefetch:
-      ProbeGroupPrefetch<kEarlyExit>(table, probe, 0, probe.size(), m,
-                                     stages, sink);
-      break;
-    case ExecPolicy::kSoftwarePipelined:
-      ProbeSoftwarePipelined<kEarlyExit>(
-          table, probe, 0, probe.size(), stages,
-          std::max(1u, m / std::max(1u, stages)), sink);
-      break;
-    case ExecPolicy::kAmac:
-      ProbeAmac<kEarlyExit>(table, probe, 0, probe.size(), m, sink);
-      break;
-    default:  // kCoroutine/kAdaptive have no hand-written probe kernel
-      ADD_FAILURE() << "no hand kernel for " << ExecPolicyName(policy);
-      break;
+  if (policy == ExecPolicy::kSequential) {
+    ProbeBaseline<kEarlyExit>(table, probe, 0, probe.size(), sink);
+  } else {
+    ProbeOp<kEarlyExit, CountChecksumSink> op(table, probe, sink);
+    amac::Run(policy, SchedulerParams{m, stages}, op, probe.size());
   }
   return sink;
 }
@@ -129,10 +120,10 @@ TEST(ProbeTest, EmptyProbeRelation) {
   CountChecksumSink sink;
   ProbeAmac<true>(table, probe, 0, 0, 10, sink);
   EXPECT_EQ(sink.matches(), 0u);
-  ProbeGroupPrefetch<true>(table, probe, 0, 0, 5, 2, sink);
-  EXPECT_EQ(sink.matches(), 0u);
-  ProbeSoftwarePipelined<true>(table, probe, 0, 0, 2, 3, sink);
-  EXPECT_EQ(sink.matches(), 0u);
+  for (ExecPolicy policy : kAllExecPolicies) {
+    EXPECT_EQ(RunEngine<true>(policy, table, probe, 5, 2).matches(), 0u)
+        << ExecPolicyName(policy);
+  }
 }
 
 TEST(ProbeTest, SubrangeProbesOnlyThatRange) {
@@ -143,6 +134,13 @@ TEST(ProbeTest, SubrangeProbesOnlyThatRange) {
   CountChecksumSink sink;
   ProbeAmac<true>(table, probe, 100, 200, 8, sink);
   EXPECT_EQ(sink.matches(), 100u);
+  // The generic op reaches a subrange through OffsetOp.
+  CountChecksumSink generic;
+  ProbeOp<true, CountChecksumSink> op(table, probe, generic);
+  OffsetOp<decltype(op)> rebased(op, 100);
+  amac::Run(ExecPolicy::kGroupPrefetch, SchedulerParams{8, 2}, rebased, 100);
+  EXPECT_EQ(generic.matches(), 100u);
+  EXPECT_EQ(generic.checksum(), sink.checksum());
 }
 
 TEST(ProbeTest, AmacMaterializesInRidOrderSemantics) {

@@ -1,5 +1,6 @@
 // Concurrent skip list insert tests: Pugh latched splice under real thread
-// interleavings, for the reference insert and for every staged kernel.
+// interleavings, for the reference insert and for every staged schedule
+// of the generic SkipInsertOp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -133,6 +134,38 @@ INSTANTIATE_TEST_SUITE_P(AllEngines, SkipInsertMtTest,
                          [](const auto& info) {
                            return ExecPolicyName(info.param);
                          });
+
+// RunSkipListInsert under every policy, single-threaded and on a 4-thread
+// team, builds exactly the key set (and size) of the Baseline insert loop,
+// duplicates included.
+TEST(SkipInsertMtOracleTest, EveryPolicyMatchesBaselineKeySet) {
+  const uint64_t n = 3000;
+  Relation rel(n + n / 3);
+  const Relation unique = MakeDenseUniqueRelation(n, 302);
+  for (uint64_t i = 0; i < rel.size(); ++i) {
+    rel[i] = unique[i % n];  // the tail repeats keys: duplicates rejected
+  }
+  SkipList baseline(rel.size());
+  const uint64_t base_inserted =
+      SkipInsertBaseline<false>(baseline, rel, 0, rel.size(), /*seed=*/5);
+  std::set<int64_t> expected;
+  baseline.ForEach([&](const SkipNode& node) { expected.insert(node.key); });
+  ASSERT_EQ(base_inserted, n);
+  for (ExecPolicy policy : kAllExecPolicies) {
+    for (uint32_t threads : {1u, 4u}) {
+      SkipList list(rel.size());
+      Executor exec(ExecConfig{policy, SchedulerParams{8, 4, 0}, threads, 0});
+      const RunStats run = RunSkipListInsert(exec, &list, rel);
+      EXPECT_EQ(run.outputs, base_inserted)
+          << ExecPolicyName(policy) << " threads=" << threads;
+      EXPECT_EQ(list.size(), baseline.size())
+          << ExecPolicyName(policy) << " threads=" << threads;
+      EXPECT_EQ(list.Checksum(), baseline.Checksum())
+          << ExecPolicyName(policy) << " threads=" << threads;
+      ExpectSortedAndComplete(list, expected);
+    }
+  }
+}
 
 }  // namespace
 }  // namespace amac

@@ -1,5 +1,4 @@
-// Skip list structure, search-kernel, and single-threaded insert-kernel
-// tests.
+// Skip list structure, search, and single-threaded insert tests.
 #include "skiplist/skiplist.h"
 
 #include <gtest/gtest.h>
@@ -112,7 +111,7 @@ TEST(SkipListTest, FindPredecessorsBracketsKey) {
   EXPECT_EQ(succs[0]->key, 502);
 }
 
-// --- search kernels --------------------------------------------------------
+// --- search ----------------------------------------------------------------
 
 class SkipSearchEngineTest
     : public ::testing::TestWithParam<std::tuple<ExecPolicy, uint32_t>> {};
@@ -154,7 +153,8 @@ TEST(SkipSearchTest, EveryUniqueKeyFoundExactlyOnce) {
   for (const Tuple& t : rel) list.InsertUnsync(t.key, t.payload, rng);
   Relation probe = MakeForeignKeyRelation(n, n, 95);
   CountChecksumSink sink;
-  SkipSearchAmac(list, probe, 0, n, 10, sink);
+  SkipSearchOp<CountChecksumSink> op(list, probe, sink);
+  amac::Run(ExecPolicy::kAmac, SchedulerParams{10, 1}, op, n);
   EXPECT_EQ(sink.matches(), n);
 }
 
@@ -163,13 +163,15 @@ TEST(SkipSearchTest, EmptyListFindsNothing) {
   Relation probe(5);
   for (uint64_t i = 0; i < 5; ++i) probe[i] = Tuple{static_cast<int64_t>(i + 1), 0};
   CountChecksumSink sink;
-  SkipSearchAmac(list, probe, 0, probe.size(), 3, sink);
-  EXPECT_EQ(sink.matches(), 0u);
-  SkipSearchGroupPrefetch(list, probe, 0, probe.size(), 2, 3, sink);
+  SkipSearchBaseline(list, probe, 0, probe.size(), sink);
+  for (ExecPolicy policy : kAllExecPolicies) {
+    SkipSearchOp<CountChecksumSink> op(list, probe, sink);
+    amac::Run(policy, SchedulerParams{3, 3}, op, probe.size());
+  }
   EXPECT_EQ(sink.matches(), 0u);
 }
 
-// --- single-threaded insert kernels ---------------------------------------
+// --- single-threaded insert ------------------------------------------------
 
 class SkipInsertEngineTest
     : public ::testing::TestWithParam<std::tuple<ExecPolicy, uint32_t>> {};
