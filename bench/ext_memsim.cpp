@@ -1,8 +1,8 @@
-// ext_memsim: acceptance gates for the cache-hierarchy simulator and the
-// hardware-model-in-the-loop calibration seeding (EXPERIMENTS.md).
+// ext_memsim: acceptance gates for the cache-hierarchy simulator and its
+// sim-vs-measured grid ranking (EXPERIMENTS.md).
 //
 // Three gated sections, each tied to a claim the hierarchy model must
-// uphold before its priors are allowed anywhere near the calibrator:
+// uphold before its rankings can be trusted:
 //
 //  1. SCALING  — hierarchy-mode thread scaling on both machine presets
 //     over a REAL hash-probe address trace reproduces the Fig 7/8 shape:
@@ -14,7 +14,7 @@
 //     materially lower coverage on a pointer-chase stream with no
 //     learnable signature (the paper's irregularity premise — if the
 //     model prefetched pointer chases, AMAC would have nothing to hide).
-//  3. SEED     — SeedCalibrator's simulated policy-grid ranking agrees
+//  3. SEED     — RankGrid's simulated policy-grid ranking agrees
 //     with real measured calibration on two workload families (hash
 //     probe, skip list search): same argmax, or the sim winner measures
 //     within 10% cycles-per-input of the measured best.
@@ -30,11 +30,10 @@
 
 #include "bench_util.h"
 #include "adaptive/calibrator.h"
-#include "adaptive/signature.h"
 #include "join/hash_join.h"
 #include "memsim/cache/trace.h"
 #include "memsim/memsim.h"
-#include "memsim/seed_calibrator.h"
+#include "memsim/rank_grid.h"
 #include "skiplist/skiplist_ops.h"
 
 namespace amac::bench {
@@ -224,7 +223,7 @@ void PrefetchSection(const memsim::AccessTrace& hash_trace, bool quick,
 }
 
 // ---------------------------------------------------------------------------
-// Section 3: SeedCalibrator priors vs real measured calibration.
+// Section 3: simulated grid ranking vs real measured calibration.
 // ---------------------------------------------------------------------------
 
 struct MeasuredPoint {
@@ -261,17 +260,14 @@ std::vector<MeasuredPoint> MeasureGrid(const std::vector<GridPoint>& grid,
 /// Compare the sim ranking against the measured table for one family.
 void SeedFamily(const std::string& family,
                 const memsim::AccessTrace& trace,
-                const WorkloadSignature& sig,
                 const std::vector<MeasuredPoint>& measured,
                 JsonWriter* json) {
-  const memsim::MachineConfig machine = memsim::MachineConfig::XeonX5670();
-  Calibrator calibrator;
-  memsim::SeedOptions options;
+  memsim::RankOptions options;
   options.num_threads = 1;
   options.stages = 2;
   options.prefetcher = memsim::PrefetcherKind::kStride;
-  const memsim::SeedResult seed =
-      memsim::SeedCalibrator(machine, trace, sig, &calibrator, options);
+  const memsim::RankResult seed = memsim::RankGrid(
+      memsim::MachineConfig::XeonX5670(), trace, options);
 
   auto measured_cpi = [&](const GridPoint& p) {
     for (const MeasuredPoint& m : measured)
@@ -286,7 +282,7 @@ void SeedFamily(const std::string& family,
                          "]: sim ranking vs measured cycles/input",
                      {"rank", "policy", "M", "sim c/l", "measured c/l"});
   uint32_t rank = 0;
-  for (const memsim::SeedEntry& e : seed.table) {
+  for (const memsim::RankEntry& e : seed.table) {
     table.AddRow({std::to_string(++rank), SeriesName(e.point.policy),
                   std::to_string(e.point.inflight),
                   TablePrinter::Fmt(e.cycles_per_input, 1),
@@ -312,10 +308,6 @@ void SeedFamily(const std::string& family,
       SeriesName(seed.winner.policy), seed.winner.inflight, winner_measured,
       SeriesName(best->point.policy), best->point.inflight,
       best->cycles_per_input);
-  Gate(seed.stored,
-       "seed[" + family + "]: prior stored into the calibrator");
-  Gate(calibrator.seeded_entries() == 1,
-       "seed[" + family + "]: entry is marked from_sim");
   Gate(same_argmax ||
            winner_measured <= 1.10 * best->cycles_per_input,
        "seed[" + family + "]: sim winner within 10% of measured best");
@@ -323,7 +315,7 @@ void SeedFamily(const std::string& family,
 
 void SeedSection(const BenchArgs& args, bool quick, JsonWriter* json) {
   const uint32_t reps = std::max(2u, args.reps);
-  const std::vector<GridPoint> grid = memsim::DefaultSeedGrid();
+  const std::vector<GridPoint> grid = memsim::DefaultRankGrid();
 
   // Family 1: hash-probe.  The table (2^20 keys) dwarfs any real LLC, and
   // the probe keys are random, so the measured runs are DRAM-bound — the
@@ -339,9 +331,7 @@ void SeedSection(const BenchArgs& args, bool quick, JsonWriter* json) {
           return ProbePhase(exec, *prepared.table, prepared.s,
                             /*early_exit=*/true);
         });
-    SeedFamily("hash-probe", trace,
-               WorkloadSignature::Make("ext_memsim.hash_probe", probe_n, 64),
-               measured, json);
+    SeedFamily("hash-probe", trace, measured, json);
   }
 
   // Family 2: skip list search — deeper dependent chains, bigger nodes.
@@ -356,9 +346,7 @@ void SeedSection(const BenchArgs& args, bool quick, JsonWriter* json) {
         MeasureGrid(grid, /*stages=*/2, reps, [&](Executor& exec) {
           return RunSkipListSearch(exec, *list, prepared.s);
         });
-    SeedFamily("skiplist", trace,
-               WorkloadSignature::Make("ext_memsim.skiplist", probe_n, 64),
-               measured, json);
+    SeedFamily("skiplist", trace, measured, json);
   }
 }
 
@@ -381,7 +369,7 @@ int Run(int argc, char** argv) {
 
   PrintHeader(
       "ext_memsim (cache-hierarchy model acceptance: Fig 7/8 shape, "
-      "prefetcher ablation, calibration seeding)",
+      "prefetcher ablation, sim-vs-measured grid ranking)",
       "gates exit nonzero on failure; see src/memsim/DESIGN.md");
 
   std::unique_ptr<JsonWriter> json;

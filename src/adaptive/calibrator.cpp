@@ -128,15 +128,13 @@ std::vector<GridPoint> CalibrationEpisode::Survivors() const {
   return out;
 }
 
-uint64_t AdaptiveMorselSize(uint64_t num_inputs, uint32_t slots,
-                            const AdaptiveConfig& config) {
+uint64_t AdaptiveMorselSize(uint64_t num_inputs, uint32_t slots) {
   if (num_inputs == 0) return 1;
+  const std::vector<GridPoint> grid = Calibrator::Grid();
+  const size_t grid_points = grid.size();
   uint32_t max_inflight = 1;
-  size_t grid_points = 2;  // kSequential + kVectorized
-  for (const uint32_t m : config.inflight_grid) {
-    if (m == 0) continue;
-    max_inflight = std::max(max_inflight, m);
-    grid_points += 5;  // GP/SPP/AMAC/Coroutine/VecAMAC at this width
+  for (const GridPoint& point : grid) {
+    max_inflight = std::max(max_inflight, point.inflight);
   }
   // Room for ~2 tournament rounds' worth of measurement plus steady-state
   // claims on every slot.
@@ -148,7 +146,7 @@ uint64_t AdaptiveMorselSize(uint64_t num_inputs, uint32_t slots,
   return std::clamp(num_inputs / target_morsels, floor, kMaxMorsel);
 }
 
-std::vector<GridPoint> Calibrator::Grid(const AdaptiveConfig& config) {
+std::vector<GridPoint> Calibrator::Grid() {
   std::vector<GridPoint> grid;
   grid.push_back(GridPoint{ExecPolicy::kSequential, 1});
   // Pure batch vectorization has no meaningful M (one vector in flight);
@@ -158,8 +156,7 @@ std::vector<GridPoint> Calibrator::Grid(const AdaptiveConfig& config) {
        {ExecPolicy::kGroupPrefetch, ExecPolicy::kSoftwarePipelined,
         ExecPolicy::kAmac, ExecPolicy::kCoroutine,
         ExecPolicy::kVectorizedAmac}) {
-    for (const uint32_t m : config.inflight_grid) {
-      if (m == 0) continue;
+    for (const uint32_t m : kInflightGrid) {
       grid.push_back(GridPoint{policy, m});
     }
   }
@@ -168,13 +165,9 @@ std::vector<GridPoint> Calibrator::Grid(const AdaptiveConfig& config) {
 
 bool Calibrator::Fresh(const CachedEntry& entry,
                        uint64_t submitted_inputs) const {
-  if (entry.epoch != epoch_) return false;
-  if (submitted_inputs != 0 &&
-      entry.sig.cardinality_log2 !=
-          WorkloadSignature::CardinalityBucket(submitted_inputs)) {
-    return false;
-  }
-  return true;
+  return submitted_inputs == 0 ||
+         entry.sig.cardinality_log2 ==
+             WorkloadSignature::CardinalityBucket(submitted_inputs);
 }
 
 std::optional<CalibrationResult> Calibrator::Lookup(
@@ -199,27 +192,7 @@ void Calibrator::Store(const WorkloadSignature& sig,
                        const CalibrationResult& result) {
   if (!sig.valid()) return;
   std::lock_guard<std::mutex> lock(mu_);
-  CachedEntry entry{sig, result, epoch_};
-  entry.result.from_sim = false;  // measurement is ground truth
-  cache_[sig.Key()] = entry;
-}
-
-bool Calibrator::StoreSeed(const WorkloadSignature& sig,
-                           const CalibrationResult& result) {
-  if (!sig.valid()) return false;
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = cache_.find(sig.Key());
-  if (it != cache_.end() && !it->second.result.from_sim &&
-      Fresh(it->second, 0)) {
-    // Source priority: measured > simulated at equal staleness.  The
-    // fresh measured entry stands; the prior is refused.
-    ++seed_refusals_;
-    return false;
-  }
-  CachedEntry entry{sig, result, epoch_};
-  entry.result.from_sim = true;
-  cache_[sig.Key()] = entry;
-  return true;
+  cache_[sig.Key()] = CachedEntry{sig, result};
 }
 
 double Calibrator::PeekCyclesPerInput(const WorkloadSignature& sig,
@@ -243,16 +216,6 @@ std::optional<CalibrationResult> Calibrator::PeekResult(
   return it->second.result;
 }
 
-void Calibrator::AdvanceEpoch() {
-  std::lock_guard<std::mutex> lock(mu_);
-  ++epoch_;
-}
-
-uint64_t Calibrator::epoch() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return epoch_;
-}
-
 uint64_t Calibrator::stale_evictions() const {
   std::lock_guard<std::mutex> lock(mu_);
   return stale_evictions_;
@@ -273,26 +236,11 @@ uint64_t Calibrator::entries() const {
   return cache_.size();
 }
 
-uint64_t Calibrator::seeded_entries() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  uint64_t n = 0;
-  for (const auto& [key, cached] : cache_) {
-    if (cached.result.from_sim && cached.epoch == epoch_) ++n;
-  }
-  return n;
-}
-
-uint64_t Calibrator::seed_refusals() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return seed_refusals_;
-}
-
 std::vector<Calibrator::Entry> Calibrator::Entries() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<Entry> entries;
   entries.reserve(cache_.size());
   for (const auto& [key, cached] : cache_) {
-    if (cached.epoch != epoch_) continue;  // stale epoch: not planner input
     entries.push_back(Entry{key, cached.result});
   }
   std::sort(entries.begin(), entries.end(),

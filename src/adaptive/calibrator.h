@@ -15,6 +15,8 @@
 //   * `Calibrator` caches finished episodes keyed by WorkloadSignature, so
 //     a repeated query shape skips straight to the winner (pinned by the
 //     tests/adaptive cache-hit suite), and owns the grid construction.
+//     Every entry is a measurement; an entry whose cardinality bucket no
+//     longer matches the submitted relation is evicted on reuse.
 //
 // The governor (adaptive/governor.h) drives episodes per query and layers
 // the epsilon-greedy exploration / drift re-tuning loop on top.
@@ -48,19 +50,15 @@ inline bool operator==(const GridPoint& a, const GridPoint& b) {
   return a.policy == b.policy && a.inflight == b.inflight;
 }
 
+/// In-flight widths crossed with every non-sequential static policy in the
+/// calibration grid (kSequential contributes a single grid point).
+inline constexpr uint32_t kInflightGrid[] = {4, 10, 16, 32};
+
 /// Tuning knobs of the adaptive subsystem (ExecConfig::adaptive and
-/// QueryOptions::adaptive).  Defaults are deliberately conservative: a
-/// small grid, one measurement morsel per point per round, and light
-/// exploration, so "pick for me" costs a few percent of steady-state
-/// throughput at most.
+/// QueryOptions::adaptive).  Defaults are deliberately conservative: light
+/// exploration and a drift threshold well clear of morsel-to-morsel noise,
+/// so "pick for me" costs a few percent of steady-state throughput at most.
 struct AdaptiveConfig {
-  /// In-flight widths crossed with every non-sequential static policy
-  /// (kSequential contributes a single grid point).  Zeroes are ignored.
-  uint32_t inflight_grid[4] = {4, 10, 16, 32};
-  /// Measurement morsels per surviving grid point per halving round.
-  uint32_t measure_morsels = 1;
-  /// Weight of the newest morsel in the per-point cycles-per-input EWMA.
-  double ewma_alpha = 0.25;
   /// Probability that a steady-state morsel explores a non-winner survivor
   /// (epsilon-greedy, round-robin over the explore set); 0 disables
   /// exploration.
@@ -69,27 +67,6 @@ struct AdaptiveConfig {
   /// fraction of its calibrated baseline (cycles/input rises above
   /// baseline / drift_ratio).  0 disables drift re-tuning.
   double drift_ratio = 0.5;
-  /// Consecutive over-threshold winner morsels required before a drift
-  /// re-tune fires (a single preempted/cold morsel is noise, a streak is
-  /// a regime change).
-  uint32_t drift_patience = 3;
-  /// An exploration probe must beat the winner by this cycles-per-input
-  /// factor (probe_cpi < margin * winner_cpi) to usurp it.
-  double switch_margin = 0.9;
-  /// Weight of the hardware stall-fraction evidence in the governor's
-  /// objective: a morsel reported with a valid PerfCounters sample costs
-  /// cpi * (1 + hw_stall_weight * stall_fraction), so two schedules with
-  /// equal throughput rank by how memory-bound they ran (the stalled
-  /// schedule has no headroom when contention rises).  Inert when the
-  /// kernel forbids perf_event_open (samples invalid).  0 disables.
-  double hw_stall_weight = 0.5;
-  /// Winner morsels observed before a simulation-seeded prior is
-  /// re-stored as a measured entry (and its model-cycle baseline replaced
-  /// by the measured one).
-  uint32_t seed_confirm_morsels = 3;
-  /// Seed of the governor's private common/rng.h stream; a fixed seed makes
-  /// the decision sequence deterministic for a given report sequence.
-  uint64_t seed = 0xada9711feed5eedull;
 };
 
 /// A finished calibration: the winner, its measured cost, and the
@@ -100,12 +77,6 @@ struct CalibrationResult {
   /// First-halving survivors (best half of the grid), winner included —
   /// the candidate set of later exploration and re-tuning.
   std::vector<GridPoint> survivors;
-  /// The entry came from the offline hierarchy simulator (memsim
-  /// SeedCalibrator), not from measuring real morsels.  Simulated entries
-  /// are PRIORS: they skip cold-start measurement but must never shadow a
-  /// fresh measured entry (Store always wins over StoreSeed) and are
-  /// re-stored as measured once the governor has observed real morsels.
-  bool from_sim = false;
   /// Rows the downstream pipeline kept per input row, observed on the
   /// measure prefix (plan costing, satellite of PR 10); negative when the
   /// run had no filtering stage or nothing was observed.
@@ -172,9 +143,8 @@ class CalibrationEpisode {
 /// (1024 inputs) can leave a small query with fewer morsels than the grid
 /// has points; adaptive queries instead target enough claims for the
 /// tournament plus steady-state interleaving, with a floor that still
-/// amortizes the widest configured in-flight window's fill/drain ramp.
-uint64_t AdaptiveMorselSize(uint64_t num_inputs, uint32_t slots,
-                            const AdaptiveConfig& config);
+/// amortizes the widest in-flight window of Calibrator::Grid().
+uint64_t AdaptiveMorselSize(uint64_t num_inputs, uint32_t slots);
 
 /// Shared calibration cache + grid construction.  Thread-safe; one lives
 /// in every QueryScheduler (and therefore in every Executor), so repeated
@@ -183,9 +153,9 @@ class Calibrator {
  public:
   Calibrator() = default;
 
-  /// The candidate grid for `config`: kSequential once, every other static
-  /// policy crossed with the configured in-flight widths.
-  static std::vector<GridPoint> Grid(const AdaptiveConfig& config);
+  /// The candidate grid: kSequential once, kVectorized once, every other
+  /// static policy crossed with kInflightGrid.
+  static std::vector<GridPoint> Grid();
 
   /// Cached result for `sig`, counting a hit or miss; invalid signatures
   /// always miss (and are never stored).  When `submitted_inputs` is
@@ -198,18 +168,7 @@ class Calibrator {
                                           uint64_t submitted_inputs = 0);
 
   /// Record (or overwrite, after a re-tune) the calibration for `sig`.
-  /// The entry is stamped with the current staleness epoch and marked
-  /// measured (from_sim cleared): real morsel measurements are the ground
-  /// truth and always overwrite, including simulation-seeded entries.
   void Store(const WorkloadSignature& sig, const CalibrationResult& result);
-
-  /// Seed a simulation-derived prior for `sig` (marked from_sim, stamped
-  /// with the current epoch).  Source-priority rule: a fresh MEASURED
-  /// entry is never shadowed — the seed is refused and false returned.
-  /// Stale entries (older epoch or cardinality-bucket mismatch) and other
-  /// simulated entries are replaced.
-  bool StoreSeed(const WorkloadSignature& sig,
-                 const CalibrationResult& result);
 
   /// The cached winner's cycles-per-input for `sig`, or 0 when unknown.
   /// Unlike Lookup this counts neither a hit nor a miss: it exists for
@@ -226,23 +185,11 @@ class Calibrator {
   std::optional<CalibrationResult> PeekResult(
       const WorkloadSignature& sig, uint64_t submitted_inputs = 0) const;
 
-  /// Begin a new staleness epoch: every entry stored before this call is
-  /// treated as stale — lazily evicted on its next Lookup/Peek and skipped
-  /// by Entries().  The affordance for "the data changed under the priors"
-  /// (bulk load, compaction, tenant swap).
-  void AdvanceEpoch();
-  uint64_t epoch() const;
-
   uint64_t hits() const;
   uint64_t misses() const;
   uint64_t entries() const;
-  /// Simulation-seeded entries currently cached (observability: how much
-  /// of the cache is prior vs measurement).
-  uint64_t seeded_entries() const;
-  /// StoreSeed calls refused because a fresh measured entry held the key.
-  uint64_t seed_refusals() const;
-  /// Entries dropped by staleness validation (epoch advance or a
-  /// cardinality-bucket mismatch against the submitted relation).
+  /// Entries dropped by staleness validation (a cardinality-bucket
+  /// mismatch against the submitted relation).
   uint64_t stale_evictions() const;
 
   /// One cached calibration, keyed by its WorkloadSignature::Key().
@@ -250,16 +197,15 @@ class Calibrator {
     uint64_t signature_key = 0;
     CalibrationResult result;
   };
-  /// Snapshot of the current-epoch cache, ascending by key — what the
-  /// serving layer's capacity planner consumes (winner cycles-per-input ->
-  /// E[S] -> sustainable QPS) without holding the calibrator lock.
+  /// Snapshot of the cache, ascending by key — what the serving layer's
+  /// capacity planner consumes (winner cycles-per-input -> E[S] ->
+  /// sustainable QPS) without holding the calibrator lock.
   std::vector<Entry> Entries() const;
 
  private:
   struct CachedEntry {
     WorkloadSignature sig;  ///< as stored — bucket validated on reuse
     CalibrationResult result;
-    uint64_t epoch = 0;  ///< epoch_ at Store time
   };
 
   /// True when the entry is still trustworthy for a run over
@@ -268,11 +214,9 @@ class Calibrator {
 
   mutable std::mutex mu_;
   mutable std::unordered_map<uint64_t, CachedEntry> cache_;  ///< by sig.Key()
-  uint64_t epoch_ = 0;
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;
   mutable uint64_t stale_evictions_ = 0;
-  uint64_t seed_refusals_ = 0;
 };
 
 }  // namespace amac

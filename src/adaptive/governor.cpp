@@ -8,13 +8,24 @@ namespace amac {
 
 namespace {
 
+/// Measurement morsels per surviving grid point per halving round.
+constexpr uint32_t kMeasureMorsels = 1;
+/// Weight of the newest morsel in the per-point cycles-per-input EWMA.
+constexpr double kEwmaAlpha = 0.25;
+/// Consecutive over-threshold winner morsels required before a drift
+/// re-tune fires (a single preempted/cold morsel is noise, a streak is a
+/// regime change).
+constexpr uint32_t kDriftPatience = 3;
+/// An exploration probe must beat the winner by this cycles-per-input
+/// factor (probe_cpi < margin * winner_cpi) to usurp it.
+constexpr double kSwitchMargin = 0.9;
 /// A steady-state morsel folds into its point's EWMA at no more than this
 /// multiple of the EWMA.  Morsel costs are heavy-tailed on skewed data (a
 /// morsel that holds a probe into a hot key's chain costs several times
 /// its neighbours under any schedule); one such morsel would otherwise
 /// inflate the winner's EWMA enough for the next probe of a slower point
 /// to usurp it.  A real regime change still raises the EWMA by a quarter
-/// per morsel (ewma_alpha 0.25), so drift is still detected.
+/// per morsel (kEwmaAlpha), so drift is still detected.
 constexpr double kMorselClip = 2.0;
 
 }  // namespace
@@ -22,33 +33,23 @@ constexpr double kMorselClip = 2.0;
 QueryGovernor::QueryGovernor(const AdaptiveConfig& config,
                              Calibrator* calibrator,
                              const WorkloadSignature& signature,
-                             uint32_t stages, uint64_t num_inputs)
+                             uint32_t stages, uint64_t num_inputs,
+                             uint64_t seed)
     : config_(config),
       calibrator_(calibrator),
       signature_(signature),
       stages_(std::max(1u, stages)),
-      rng_(config.seed) {
+      rng_(seed) {
   if (calibrator_ != nullptr) {
     if (const auto cached = calibrator_->Lookup(signature_, num_inputs)) {
       cache_hit_ = true;
-      if (cached->from_sim) {
-        // A simulated prior ranks the grid but its cycles are MODEL
-        // cycles: adopting them as the drift baseline would compare TSC
-        // apples to simulator oranges.  Adopt the ranking with no
-        // baseline; the first measured winner morsels establish it and
-        // convert the entry to a measured one.
-        adopted_sim_prior_ = true;
-        seed_unconfirmed_ = true;
-        AdoptWinnerLocked(cached->winner, 0, cached->survivors);
-      } else {
-        AdoptWinnerLocked(cached->winner, cached->winner_cycles_per_input,
-                          cached->survivors);
-      }
+      AdoptWinnerLocked(cached->winner, cached->winner_cycles_per_input,
+                        cached->survivors);
       return;
     }
   }
-  episode_ = std::make_unique<CalibrationEpisode>(Calibrator::Grid(config_),
-                                                  config_.measure_morsels);
+  episode_ = std::make_unique<CalibrationEpisode>(Calibrator::Grid(),
+                                                  kMeasureMorsels);
   phase_ = Phase::kCalibrating;
 }
 
@@ -88,8 +89,7 @@ QueryGovernor::Choice QueryGovernor::Acquire() {
 }
 
 void QueryGovernor::Report(const Choice& choice, uint64_t inputs,
-                           uint64_t cycles,
-                           const PerfCounters::Sample* hw) {
+                           uint64_t cycles) {
   if (inputs == 0) return;
   std::lock_guard<std::mutex> lock(mu_);
   if ((choice.token >> kEpochShift) != (epoch_ & kEpochMask)) {
@@ -107,56 +107,20 @@ void QueryGovernor::Report(const Choice& choice, uint64_t inputs,
     return;
   }
   if (index >= survivors_.size()) return;
-  double cpi = static_cast<double>(cycles) / static_cast<double>(inputs);
-  if (hw != nullptr && hw->valid && hw->cycles > 0) {
-    // Hardware evidence: weight the morsel's cost by how memory-bound it
-    // ran.  Equal-throughput schedules then rank by stall headroom, and a
-    // prior whose predicted schedule stalls on real hardware loses to its
-    // survivors even before wall-clock drift would notice.
-    if (config_.hw_stall_weight > 0) {
-      cpi *= 1 + config_.hw_stall_weight * hw->StallFraction();
-    }
-    if (index == winner_) {
-      hw_observed_ = true;
-      const double stall = hw->StallFraction();
-      const double llc_per_input =
-          static_cast<double>(hw->llc_misses) / static_cast<double>(inputs);
-      hw_stall_ewma_ =
-          hw_stall_ewma_ <= 0
-              ? stall
-              : config_.ewma_alpha * stall +
-                    (1 - config_.ewma_alpha) * hw_stall_ewma_;
-      hw_llc_per_input_ewma_ =
-          hw_llc_per_input_ewma_ <= 0
-              ? llc_per_input
-              : config_.ewma_alpha * llc_per_input +
-                    (1 - config_.ewma_alpha) * hw_llc_per_input_ewma_;
-    }
-  }
+  const double cpi =
+      static_cast<double>(cycles) / static_cast<double>(inputs);
   double& ewma = survivor_ewma_[index];
   ewma = ewma <= 0 ? cpi
-                   : config_.ewma_alpha * std::min(cpi, kMorselClip * ewma) +
-                         (1 - config_.ewma_alpha) * ewma;
+                   : kEwmaAlpha * std::min(cpi, kMorselClip * ewma) +
+                         (1 - kEwmaAlpha) * ewma;
   if (index == winner_) {
-    if (seed_unconfirmed_) {
-      // Simulated prior: establish the measured baseline, then promote
-      // the cache entry to a measured one (source priority lets later
-      // seeds refresh it only once it goes stale).
-      if (++seed_winner_reports_ >=
-          std::max(1u, config_.seed_confirm_morsels)) {
-        seed_unconfirmed_ = false;
-        baseline_cpi_ = ewma;
-        StoreResultLocked();
-      }
-      return;  // no drift checks against a not-yet-measured baseline
-    }
     // Drift: observed throughput fell below drift_ratio of the calibrated
     // baseline — the winner no longer fits the data it is seeing.  A
     // patience streak filters one-off noise (a preempted morsel balloons
     // its cycle count without the workload having changed).
     if (config_.drift_ratio > 0 && baseline_cpi_ > 0 &&
         ewma * config_.drift_ratio > baseline_cpi_) {
-      if (++drift_strikes_ >= std::max(1u, config_.drift_patience)) {
+      if (++drift_strikes_ >= kDriftPatience) {
         drift_strikes_ = 0;
         EnterRetuneLocked();
       }
@@ -170,7 +134,7 @@ void QueryGovernor::Report(const Choice& choice, uint64_t inputs,
   // slot's probe usurped while this morsel ran) must only feed that
   // point's EWMA, not bounce the winner back on one sample.
   if ((choice.token & kProbeBit) != 0 &&
-      ewma < config_.switch_margin * survivor_ewma_[winner_]) {
+      ewma < kSwitchMargin * survivor_ewma_[winner_]) {
     winner_ = index;
     baseline_cpi_ = ewma;
     drift_strikes_ = 0;  // strikes against the old winner don't carry over
@@ -197,15 +161,12 @@ void QueryGovernor::AdoptWinnerLocked(const GridPoint& winner, double cpi,
 }
 
 void QueryGovernor::StoreResultLocked() {
-  if (calibrator_ != nullptr) {
-    CalibrationResult result;
-    result.winner = survivors_[winner_];
-    result.winner_cycles_per_input = baseline_cpi_;
-    result.survivors = survivors_;
-    calibrator_->Store(signature_, result);
-  }
-  // Whatever is stored now is measured: a pending sim prior is superseded.
-  seed_unconfirmed_ = false;
+  if (calibrator_ == nullptr) return;
+  CalibrationResult result;
+  result.winner = survivors_[winner_];
+  result.winner_cycles_per_input = baseline_cpi_;
+  result.survivors = survivors_;
+  calibrator_->Store(signature_, result);
 }
 
 void QueryGovernor::FinishCalibrationLocked() {
@@ -235,8 +196,8 @@ void QueryGovernor::EnsureAnchorLocked() {
 void QueryGovernor::EnterRetuneLocked() {
   retuning_ = true;
   retune_from_ = survivors_[winner_];
-  episode_ = std::make_unique<CalibrationEpisode>(survivors_,
-                                                  config_.measure_morsels);
+  episode_ =
+      std::make_unique<CalibrationEpisode>(survivors_, kMeasureMorsels);
   phase_ = Phase::kCalibrating;
   ++epoch_;
 }
@@ -281,10 +242,6 @@ void QueryGovernor::Finalize(AdaptiveStats* out) {
   out->tuning_switches = tuning_switches_;
   out->calibration_morsels = calibration_morsels_;
   out->probe_morsels = probe_morsels_;
-  out->seeded_from_sim = adopted_sim_prior_;
-  out->hw_observed = hw_observed_;
-  out->hw_stall_fraction = hw_stall_ewma_;
-  out->hw_llc_misses_per_input = hw_llc_per_input_ewma_;
 }
 
 }  // namespace amac

@@ -13,14 +13,17 @@
 //   phase kRunning — run the winner, keeping a per-morsel
 //     cycles-per-input EWMA.  With probability epsilon a morsel instead
 //     probes one of the other first-halving survivors (epsilon-greedy);
-//     a probe that beats the winner by the switch margin usurps it.  When
-//     the winner's EWMA drifts past drift_ratio of its calibrated
-//     baseline (skew moved, contention appeared, the cached winner no
-//     longer fits), the governor re-enters calibration over the survivor
-//     set — a successive-halving re-tune mid-query.
+//     a probe that beats the winner by kSwitchMargin usurps it.  When the
+//     winner's EWMA drifts past drift_ratio of its calibrated baseline
+//     (skew moved, contention appeared, the cached winner no longer
+//     fits), the governor re-enters calibration over the survivor set — a
+//     successive-halving re-tune mid-query.
 //
-// All decisions come from a private seeded common/rng.h stream, so a given
-// sequence of Acquire()/Report() calls is fully deterministic (pinned by
+// The objective is wall-clock cycles per input, nothing else.  Only
+// epsilon and drift_ratio are settable (AdaptiveConfig); the rest of the
+// loop's constants live in governor.cpp.  All decisions come from a
+// private seeded common/rng.h stream, so a given sequence of
+// Acquire()/Report() calls is fully deterministic (pinned by
 // tests/adaptive/governor_test.cpp).  Thread-safe at morsel granularity:
 // a mutex guards the whole state machine, which is negligible against the
 // 1k+-input morsels it decides for.
@@ -34,9 +37,11 @@
 #include "adaptive/signature.h"
 #include "common/rng.h"
 #include "core/run_stats.h"
-#include "metrics/perf_counters.h"
 
 namespace amac {
+
+/// Seed of the governor's rng stream in production.
+inline constexpr uint64_t kGovernorSeed = 0xada9711feed5eedull;
 
 class QueryGovernor {
  public:
@@ -45,10 +50,10 @@ class QueryGovernor {
   /// Non-zero `num_inputs` lets the cache-hit path validate the cached
   /// entry against the relation actually submitted (stale priors from a
   /// pinned signature reused across relation sizes are evicted instead of
-  /// adopted).
+  /// adopted).  `seed` picks the rng stream; tests vary it.
   QueryGovernor(const AdaptiveConfig& config, Calibrator* calibrator,
                 const WorkloadSignature& signature, uint32_t stages,
-                uint64_t num_inputs = 0);
+                uint64_t num_inputs = 0, uint64_t seed = kGovernorSeed);
 
   /// The schedule the next morsel should run.  `token` must be handed back
   /// to Report() with the morsel's measurements.
@@ -59,14 +64,8 @@ class QueryGovernor {
   };
   Choice Acquire();
 
-  /// Fold one executed morsel's cost back into the decision state.  `hw`
-  /// (nullable) carries the morsel's hardware counters when the runner
-  /// could sample them: a valid sample folds the stall fraction into the
-  /// morsel's effective cost (AdaptiveConfig::hw_stall_weight), so
-  /// mis-predicted priors self-correct from hardware evidence rather than
-  /// wall-clock noise alone.
-  void Report(const Choice& choice, uint64_t inputs, uint64_t cycles,
-              const PerfCounters::Sample* hw = nullptr);
+  /// Fold one executed morsel's cost back into the decision state.
+  void Report(const Choice& choice, uint64_t inputs, uint64_t cycles);
 
   /// Final accounting (RunStats::adaptive); called once when the query's
   /// last morsel drained.  A query that drained mid-calibration banks its
@@ -129,19 +128,6 @@ class QueryGovernor {
   uint32_t tuning_switches_ = 0;
   uint64_t calibration_morsels_ = 0;
   uint64_t probe_morsels_ = 0;
-
-  /// Simulation-seeded prior handling: a cache hit on a from_sim entry
-  /// adopts the simulated ranking but NOT its model-cycle baseline for
-  /// drift purposes (the scales differ); after seed_confirm_morsels real
-  /// winner morsels the entry is re-stored as measured.
-  bool adopted_sim_prior_ = false;  ///< sticky, for Finalize accounting
-  bool seed_unconfirmed_ = false;   ///< prior not yet re-stored as measured
-  uint32_t seed_winner_reports_ = 0;
-  /// Hardware-evidence EWMAs of the winner's morsels (observability and
-  /// the AdaptiveStats hw fields); only updated on valid samples.
-  bool hw_observed_ = false;
-  double hw_stall_ewma_ = 0;
-  double hw_llc_per_input_ewma_ = 0;
 };
 
 }  // namespace amac

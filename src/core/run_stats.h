@@ -52,14 +52,6 @@ struct AdaptiveStats {
   uint32_t tuning_switches = 0;
   uint64_t calibration_morsels = 0;  ///< morsels spent measuring grid points
   uint64_t probe_morsels = 0;        ///< epsilon-greedy exploration morsels
-  /// The run started from a simulation-seeded prior (memsim
-  /// SeedCalibrator) instead of a measured entry or a fresh calibration.
-  bool seeded_from_sim = false;
-  /// Hardware-counter evidence the governor consumed (per-morsel
-  /// PerfCounters samples); false when the kernel forbids sampling.
-  bool hw_observed = false;
-  double hw_stall_fraction = 0;       ///< winner stall-fraction EWMA
-  double hw_llc_misses_per_input = 0; ///< winner LLC-misses/input EWMA
 };
 
 /// Pipeline dimension of a physical plan shape: run the whole chain fused

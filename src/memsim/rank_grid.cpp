@@ -1,4 +1,4 @@
-#include "memsim/seed_calibrator.h"
+#include "memsim/rank_grid.h"
 
 #include <algorithm>
 
@@ -6,7 +6,7 @@
 
 namespace amac::memsim {
 
-std::vector<GridPoint> DefaultSeedGrid() {
+std::vector<GridPoint> DefaultRankGrid() {
   std::vector<GridPoint> grid;
   grid.push_back(GridPoint{ExecPolicy::kSequential, 1});
   for (const ExecPolicy policy :
@@ -19,20 +19,17 @@ std::vector<GridPoint> DefaultSeedGrid() {
   return grid;
 }
 
-SeedResult SeedCalibrator(const MachineConfig& machine,
-                          const AccessTrace& trace,
-                          const WorkloadSignature& signature,
-                          Calibrator* calibrator,
-                          const SeedOptions& options) {
+RankResult RankGrid(const MachineConfig& machine, const AccessTrace& trace,
+                    const RankOptions& options) {
   AMAC_CHECK(trace.lookups() > 0);
   const std::vector<GridPoint> grid =
-      options.grid.empty() ? DefaultSeedGrid() : options.grid;
+      options.grid.empty() ? DefaultRankGrid() : options.grid;
   const uint64_t lookups =
       options.lookups_per_thread > 0
           ? options.lookups_per_thread
           : std::min<uint64_t>(trace.lookups(), 8192);
 
-  SeedResult out;
+  RankResult out;
   out.table.reserve(grid.size());
   for (const GridPoint& point : grid) {
     SimConfig sim;
@@ -43,15 +40,14 @@ SeedResult SeedCalibrator(const MachineConfig& machine,
     sim.lookups_per_thread = lookups;
     sim.trace = &trace;
     sim.prefetcher = options.prefetcher;
-    SeedEntry entry;
+    RankEntry entry;
     entry.point = point;
     entry.sim = Simulate(machine, sim);
-    entry.cycles_per_input =
-        entry.sim.CyclesPerLookup() * options.cycles_scale;
+    entry.cycles_per_input = entry.sim.CyclesPerLookup();
     out.table.push_back(std::move(entry));
   }
   std::sort(out.table.begin(), out.table.end(),
-            [](const SeedEntry& a, const SeedEntry& b) {
+            [](const RankEntry& a, const RankEntry& b) {
               return a.cycles_per_input < b.cycles_per_input;
             });
   // Sub-1% cycle differences are below the model's resolution (in a
@@ -70,7 +66,7 @@ SeedResult SeedCalibrator(const MachineConfig& machine,
             out.table[run_begin].cycles_per_input * (1.0 + kTiePrecision);
     if (tied) continue;
     std::sort(out.table.begin() + run_begin, out.table.begin() + i,
-              [&costs](const SeedEntry& a, const SeedEntry& b) {
+              [&costs](const RankEntry& a, const RankEntry& b) {
                 const double ca = costs.StageInstr(a.point.policy);
                 const double cb = costs.StageInstr(b.point.policy);
                 if (ca != cb) return ca < cb;
@@ -86,21 +82,6 @@ SeedResult SeedCalibrator(const MachineConfig& machine,
   }
   out.winner = out.table.front().point;
   out.winner_cycles_per_input = out.table.front().cycles_per_input;
-
-  if (calibrator != nullptr) {
-    CalibrationResult result;
-    result.winner = out.winner;
-    result.winner_cycles_per_input = out.winner_cycles_per_input;
-    // Best simulated half, best-first — the same shape a measured first
-    // halving would bank, so exploration and re-tunes work identically.
-    const size_t keep = (out.table.size() + 1) / 2;
-    result.survivors.reserve(keep);
-    for (size_t i = 0; i < keep; ++i) {
-      result.survivors.push_back(out.table[i].point);
-    }
-    result.from_sim = true;
-    out.stored = calibrator->StoreSeed(signature, result);
-  }
   return out;
 }
 

@@ -565,8 +565,8 @@ double ObservedSelectivity(const RunStats& run, const AggregateTable* groups,
 }
 
 /// Record a plan-shape prior: total cycles over n probe rows, stored as
-/// cycles-per-input under the shape signature (current epoch), together
-/// with the selectivity the measurement observed (negative = unobserved).
+/// cycles-per-input under the shape signature, together with the
+/// selectivity the measurement observed (negative = unobserved).
 void StorePrior(Calibrator& calibrator, const WorkloadSignature& sig,
                 double total_cycles, uint64_t n, double selectivity) {
   if (n == 0) return;
@@ -637,7 +637,6 @@ AggregateTable::Options ScratchGroupOptions(const Profile& p) {
 /// chooses from priors); the measurement runs themselves are discarded —
 /// only the winner's full table is reused by the final run.
 size_t MeasureCandidates(Executor& exec, const Plan& plan, const Profile& p,
-                         const PlanOptions& options,
                          const std::vector<PhysicalShape>& shapes,
                          std::map<BuildKey, ShapeBuild>* built,
                          double* chosen_cost) {
@@ -649,10 +648,7 @@ size_t MeasureCandidates(Executor& exec, const Plan& plan, const Profile& p,
     const PhysicalShape& shape = shapes[i];
     const Relation& full = FullProbe(p, shape);
     const uint64_t n = full.size();
-    const uint64_t prefix_n =
-        options.measure_prefix > 0
-            ? std::min(n, options.measure_prefix)
-            : std::min(n, std::max<uint64_t>(4096, n / 16));
+    const uint64_t prefix_n = std::min(n, std::max<uint64_t>(4096, n / 16));
     ShapeBuild& sb = EnsureBuilt(exec, p, shape, built);
     double cost = static_cast<double>(sb.build.cycles);
     double selectivity = -1;
@@ -850,12 +846,8 @@ PlanResult RunPlan(Executor& exec, const Plan& plan,
       }
       pstats.from_priors = true;
       estimated = best_cost;
-    } else if (options.allow_measure) {
-      chosen = MeasureCandidates(exec, plan, p, options, shapes, &built,
-                                 &estimated);
     } else {
-      chosen = 0;
-      estimated = 0;
+      chosen = MeasureCandidates(exec, plan, p, shapes, &built, &estimated);
     }
   }
   const PhysicalShape shape = shapes[chosen];

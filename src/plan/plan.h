@@ -106,19 +106,12 @@ enum class PlanTerminal : uint8_t {
 };
 
 /// Execution-time knobs: pin any structural dimension (kAuto = let the
-/// optimizer choose) and control the measure fallback.
+/// optimizer choose) and pick the terminal accounting.
 struct PlanOptions {
   PlanShape shape = PlanShape::kAuto;
   PlanBuildSide build_side = PlanBuildSide::kAuto;
   PlanBuildMode build_mode = PlanBuildMode::kAuto;
   PlanTerminal terminal = PlanTerminal::kCollect;
-  /// Permit the measure fallback when priors are missing.  When false and
-  /// priors are incomplete, the first enumerated shape (fused, join-rel
-  /// build) runs unmeasured.
-  bool allow_measure = true;
-  /// Probe-prefix rows per candidate in the measure fallback; 0 derives
-  /// min(n, max(4096, n/16)).
-  uint64_t measure_prefix = 0;
 };
 
 /// A value-semantic logical plan, built fluently:

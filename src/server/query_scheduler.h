@@ -357,8 +357,7 @@ class QueryScheduler {
           options.params.stages, num_inputs);
       morsel_size = options.morsel_size > 0
                         ? options.morsel_size
-                        : AdaptiveMorselSize(num_inputs, state->slots,
-                                             options.adaptive);
+                        : AdaptiveMorselSize(num_inputs, state->slots);
     } else {
       morsel_size = ResolveMorselSize(
           num_inputs, state->slots, options.morsel_size,
@@ -375,7 +374,6 @@ class QueryScheduler {
       std::optional<OpType> op;
       EngineStats engine;
       uint64_t morsels = 0;
-      PerfCounters::Sample hw;  ///< per-morsel samples, accumulated
     };
     struct Typed {
       OpFactory make_op;
@@ -409,25 +407,10 @@ class QueryScheduler {
                                                                morsel.begin);
       if (typed->governor) {
         const QueryGovernor::Choice choice = typed->governor->Acquire();
-        // Per-morsel hardware sampling: counters attach to the calling
-        // thread, and on this path the morsel runs inline on it, so the
-        // governed loop can consume LLC-miss/stall evidence the fork-join
-        // path only gets single-threaded.  Free when the kernel forbids
-        // perf_event_open (available() is a cached bool).
-        static thread_local PerfCounters counters;
-        const bool sample_hw = counters.available();
-        if (sample_hw) counters.Start();
         CycleTimer timer;
         slot.engine.Merge(
             Run(choice.policy, choice.params, rebased, morsel.size()));
-        const uint64_t elapsed = timer.Elapsed();
-        if (sample_hw) {
-          const PerfCounters::Sample hw = counters.Stop();
-          slot.hw.Merge(hw);
-          typed->governor->Report(choice, morsel.size(), elapsed, &hw);
-        } else {
-          typed->governor->Report(choice, morsel.size(), elapsed);
-        }
+        typed->governor->Report(choice, morsel.size(), timer.Elapsed());
       } else {
         const ExecPolicy policy =
             qs->degraded.load(std::memory_order_relaxed) ? degrade_policy
@@ -442,7 +425,6 @@ class QueryScheduler {
       for (const Slot& slot : typed->slots) {
         run->engine.Merge(slot.engine);
         run->morsels += slot.morsels;
-        run->perf.Merge(slot.hw);
       }
       if (typed->governor) typed->governor->Finalize(&run->adaptive);
       if (collect) collect(run);

@@ -111,8 +111,7 @@ TEST(CalibrationEpisodeTest, RideAlongAssignmentsWhenRoundSaturated) {
 }
 
 TEST(CalibratorTest, GridCrossesPoliciesAndWidths) {
-  AdaptiveConfig config;
-  const std::vector<GridPoint> grid = Calibrator::Grid(config);
+  const std::vector<GridPoint> grid = Calibrator::Grid();
   // kSequential once + kVectorized once + 5 policies x 4 widths.
   EXPECT_EQ(grid.size(), 22u);
   EXPECT_EQ(grid[0].policy, ExecPolicy::kSequential);
@@ -161,24 +160,22 @@ TEST(CalibratorTest, InvalidSignatureNeverCachesOrHits) {
 }
 
 TEST(AdaptiveMorselSizeTest, GivesTheTournamentEnoughMorsels) {
-  AdaptiveConfig config;
-  const std::vector<GridPoint> grid = Calibrator::Grid(config);
+  const std::vector<GridPoint> grid = Calibrator::Grid();
   // A mid-size input must morselize into at least ~2x the grid, so one
   // full tournament fits with steady-state room to spare.
   for (const uint64_t inputs : {uint64_t{1} << 16, uint64_t{1} << 20}) {
-    const uint64_t morsel = AdaptiveMorselSize(inputs, 4, config);
+    const uint64_t morsel = AdaptiveMorselSize(inputs, 4);
     ASSERT_GE(morsel, 1u);
     EXPECT_GE(inputs / morsel, 2 * grid.size()) << "inputs=" << inputs;
   }
 }
 
 TEST(AdaptiveMorselSizeTest, FloorAmortizesWidestWindow) {
-  AdaptiveConfig config;
   // Tiny inputs: morsel must still cover the widest in-flight window's
   // fill/drain ramp (floor >= 4 x max width), not shrink to 1.
-  const uint64_t morsel = AdaptiveMorselSize(512, 8, config);
+  const uint64_t morsel = AdaptiveMorselSize(512, 8);
   EXPECT_GE(morsel, 4ull * 32);
-  EXPECT_EQ(AdaptiveMorselSize(0, 4, config), 1u);
+  EXPECT_EQ(AdaptiveMorselSize(0, 4), 1u);
 }
 
 }  // namespace

@@ -73,10 +73,10 @@ TEST(QueryGovernorTest, DeterministicUnderFixedSeed) {
   // identical decision sequence, morsel for morsel.
   AdaptiveConfig config;
   config.epsilon = 0.25;  // exploration on, so the rng actually steers
-  config.seed = 0xfeedfacecafef00dull;
+  const uint64_t seed = 0xfeedfacecafef00dull;
   CostModel model;
-  QueryGovernor a(config, nullptr, WorkloadSignature{}, 2);
-  QueryGovernor b(config, nullptr, WorkloadSignature{}, 2);
+  QueryGovernor a(config, nullptr, WorkloadSignature{}, 2, 0, seed);
+  QueryGovernor b(config, nullptr, WorkloadSignature{}, 2, 0, seed);
   const auto da = Drive(&a, model, 300);
   const auto db = Drive(&b, model, 300);
   ASSERT_EQ(da.size(), db.size());
@@ -86,8 +86,7 @@ TEST(QueryGovernorTest, DeterministicUnderFixedSeed) {
   EXPECT_EQ(a.tuning_switches(), b.tuning_switches());
 
   // A different seed must (eventually) explore differently.
-  config.seed = 1;
-  QueryGovernor c(config, nullptr, WorkloadSignature{}, 2);
+  QueryGovernor c(config, nullptr, WorkloadSignature{}, 2, 0, /*seed=*/1);
   const auto dc = Drive(&c, model, 300);
   bool any_difference = false;
   for (size_t i = 0; i < da.size(); ++i) {
@@ -219,8 +218,9 @@ TEST(QueryGovernorTest, EpsilonZeroNeverProbes) {
 TEST(QueryGovernorTest, EpsilonOneAlwaysProbesAfterCalibration) {
   AdaptiveConfig config;
   config.epsilon = 1.0;
-  config.switch_margin = 0;  // probes can never usurp: isolate accounting
   QueryGovernor governor(config, nullptr, WorkloadSignature{}, 1);
+  // Every probed point costs ~10x the planted winner, so no probe clears
+  // the switch margin: the accounting is isolated from usurps.
   CostModel model;
   // Long enough to finish calibration and then probe every morsel.
   Drive(&governor, model, 300);
