@@ -23,7 +23,7 @@ ThreadPool::ThreadPool(uint32_t num_threads)
     : num_threads_(std::max(1u, num_threads)) {
   workers_.reserve(num_threads_ - 1);
   for (uint32_t t = 1; t < num_threads_; ++t) {
-    workers_.emplace_back([this, t] { WorkerLoop(t); });
+    workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
 
@@ -36,16 +36,12 @@ ThreadPool::~ThreadPool() {
   for (auto& worker : workers_) worker.join();
 }
 
-void ThreadPool::WorkerLoop(uint32_t tid) {
-  uint64_t seen = 0;
+void ThreadPool::WorkerLoop() {
   for (;;) {
-    const std::function<void(uint32_t)>* fn = nullptr;
     std::function<void()> task;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      const auto ready = [&] {
-        return stop_ || generation_ != seen || !tasks_.empty();
-      };
+      const auto ready = [&] { return stop_ || !tasks_.empty(); };
       // Each time the worker is about to park with nothing to do, run the
       // idle hook (outside the lock — it may take other locks).  While it
       // reports a backlog the worker polls it on a short timeout; once it
@@ -66,41 +62,11 @@ void ThreadPool::WorkerLoop(uint32_t tid) {
         }
       }
       if (stop_) return;
-      if (generation_ != seen) {
-        // Fork-join generations take precedence: a Run() caller is blocked
-        // synchronously while queued tasks have asynchronous waiters.
-        seen = generation_;
-        fn = fn_;
-      } else {
-        task = std::move(tasks_.front());
-        tasks_.pop_front();
-      }
+      task = std::move(tasks_.front());
+      tasks_.pop_front();
     }
-    if (fn != nullptr) {
-      (*fn)(tid);
-      std::lock_guard<std::mutex> lock(mu_);
-      if (--pending_ == 0) done_cv_.notify_one();
-    } else {
-      task();
-    }
+    task();
   }
-}
-
-void ThreadPool::Run(const std::function<void(uint32_t)>& fn) {
-  if (num_threads_ == 1) {
-    fn(0);
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    fn_ = &fn;
-    pending_ = num_threads_ - 1;
-    ++generation_;
-  }
-  work_cv_.notify_all();
-  fn(0);
-  std::unique_lock<std::mutex> lock(mu_);
-  done_cv_.wait(lock, [&] { return pending_ == 0; });
 }
 
 void ThreadPool::Submit(std::function<void()> task) {
@@ -172,7 +138,31 @@ void ForRanges(ThreadPool* team, uint64_t count,
     return;
   }
   const uint32_t parts = team->size();
-  team->Run([&](uint32_t tid) { fn(tid, PartitionRange(count, parts, tid)); });
+  std::mutex mu;
+  std::condition_variable done_cv;
+  uint32_t pending = parts - 1;  // guarded by mu
+  for (uint32_t part = 1; part < parts; ++part) {
+    team->Submit([&, part] {
+      fn(part, PartitionRange(count, parts, part));
+      // Notify under the lock: the caller destroys mu and done_cv as soon
+      // as it sees the last part finish.
+      std::lock_guard<std::mutex> lock(mu);
+      if (--pending == 0) done_cv.notify_one();
+    });
+  }
+  fn(0, PartitionRange(count, parts, 0));
+  // Help drain the queue (these parts, or tasks queued ahead of them)
+  // rather than idle; block only while it is empty.  The wait is timed
+  // because a task queued after a failed TryRunTask does not notify
+  // done_cv, while the last part's completion does, at once.
+  constexpr std::chrono::microseconds kHelpPoll{200};
+  std::unique_lock<std::mutex> lock(mu);
+  while (pending != 0) {
+    lock.unlock();
+    const bool ran = team->TryRunTask();
+    lock.lock();
+    if (!ran) done_cv.wait_for(lock, kHelpPoll, [&] { return pending == 0; });
+  }
 }
 
 }  // namespace amac

@@ -1,10 +1,10 @@
 // Thread team primitives: per-call fork-join (ParallelFor), a persistent
-// fork-join team with a task queue (ThreadPool), and the morsel cursor.
+// team draining a FIFO task queue (ThreadPool), and the morsel cursor.
 //
-// Benchmarks need "run this closure on T threads, each knowing its id, and
-// join"; the serving layer additionally needs "run these queued tasks on
+// Benchmarks need "run this closure over T contiguous ranges and join"
+// (ForRanges); the serving layer needs "run these queued tasks on
 // whichever worker is free" so morsels from different queries can
-// interleave on one shared team.  Both modes share ThreadPool's workers.
+// interleave on one shared team.  Both go through ThreadPool's one queue.
 #pragma once
 
 #include <algorithm>
@@ -28,25 +28,18 @@ namespace amac {
 void ParallelFor(uint32_t num_threads,
                  const std::function<void(uint32_t)>& fn);
 
-/// Persistent thread team: `size() - 1` workers are spawned once and parked
-/// on a condition variable; every Run() reuses them, so the per-call
-/// std::thread spawn/join cost of ParallelFor (hundreds of microseconds for
-/// a wide team) is paid once per pool instead of once per phase.  The core
+/// Persistent thread team: `size() - 1` workers are spawned once and drain
+/// a FIFO *task queue* (Submit/TryRunTask), so the per-call std::thread
+/// spawn/join cost of ParallelFor (hundreds of microseconds for a wide
+/// team) is paid once per pool instead of once per phase.  The core
 /// Executor owns one of these across Run() calls.
 ///
-/// Thread id 0 is the calling thread — a pool of size 1 runs entirely
-/// inline, keeping the single-threaded path identical to a plain call.
-/// Run() is fork-join (returns after every thread finished) and is NOT
-/// reentrant: calling Run() from inside a pool closure deadlocks.
-///
-/// Beyond fork-join, the same workers drain a FIFO *task queue*
-/// (Submit/TryRunTask): the serving layer (server/query_scheduler.h)
-/// enqueues one task per in-flight morsel so lookups from different
-/// queries interleave on one shared team, and any thread — worker or a
-/// client blocked in Wait() — can help drain the queue.  Fork-join Run()
-/// and queued tasks may coexist: a worker finishes its current task before
-/// joining a fork-join generation.  Do not call Run() while tasks that
-/// take long are queued if the closure uses spin barriers.
+/// The serving layer (server/query_scheduler.h) enqueues one task per
+/// in-flight morsel so lookups from different queries interleave on one
+/// shared team; ForRanges enqueues one task per range.  Any thread — a
+/// worker, a client blocked in Wait(), a ForRanges caller — can help drain
+/// the queue, which is what keeps a pool of size 1 (no workers) and
+/// waits issued from inside a task making progress.
 class ThreadPool {
  public:
   explicit ThreadPool(uint32_t num_threads);
@@ -56,10 +49,6 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   uint32_t size() const { return num_threads_; }
-
-  /// Run `fn(tid)` for every tid in [0, size()); tid 0 executes on the
-  /// caller.  Returns once all threads completed the closure.
-  void Run(const std::function<void(uint32_t)>& fn);
 
   /// Enqueue a task for any free worker.  Tasks run in FIFO order (the
   /// interleaving discipline: a resubmitted morsel task goes to the back,
@@ -97,19 +86,15 @@ class ThreadPool {
 
  private:
   void SetIdleHook(std::function<bool()> hook);
-  void WorkerLoop(uint32_t tid);
+  void WorkerLoop();
 
   const uint32_t num_threads_;
   std::vector<std::thread> workers_;
   mutable std::mutex mu_;
   std::condition_variable work_cv_;
-  std::condition_variable done_cv_;
-  const std::function<void(uint32_t)>* fn_ = nullptr;  ///< guarded by mu_
-  uint64_t generation_ = 0;                            ///< guarded by mu_
-  uint32_t pending_ = 0;                               ///< guarded by mu_
-  std::deque<std::function<void()>> tasks_;            ///< guarded by mu_
-  std::function<bool()> idle_;                         ///< guarded by mu_
-  bool stop_ = false;                                  ///< guarded by mu_
+  std::deque<std::function<void()>> tasks_;  ///< guarded by mu_
+  std::function<bool()> idle_;               ///< guarded by mu_
+  bool stop_ = false;                        ///< guarded by mu_
 };
 
 /// Split [0, total) into `parts` contiguous ranges; returns [begin, end) of
@@ -123,10 +108,11 @@ struct Range {
 Range PartitionRange(uint64_t total, uint32_t parts, uint32_t index);
 
 /// Run `fn(part, range)` for each of `team->size()` contiguous ranges
-/// covering [0, count), on the team; without a team (or with one thread),
-/// run `fn(0, {0, count})` inline.  `part` indexes the range, so per-part
-/// results fit an array of team->size().  Not callable from a closure
-/// running on `team` (ThreadPool::Run is not reentrant).
+/// covering [0, count), on the team, and return once every part finished;
+/// without a team (or with one thread), run `fn(0, {0, count})` inline.
+/// `part` indexes the range, so per-part results fit an array of
+/// team->size().  Parts 1.. are queued as tasks and part 0 runs on the
+/// caller, which then helps drain the queue until its parts are done.
 void ForRanges(ThreadPool* team, uint64_t count,
                const std::function<void(uint32_t, Range)>& fn);
 

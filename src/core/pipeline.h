@@ -46,7 +46,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/barrier.h"
 #include "common/cycle_timer.h"
 #include "common/hash.h"
 #include "common/prefetch.h"
@@ -499,29 +498,19 @@ class Executor {
   QueryScheduler scheduler_;
 };
 
-/// Runs `fn(tid, range)` once per thread of `exec` over a static contiguous
-/// split of [0, num_inputs) (inline with one thread), timed between
-/// barriers.  The drivers' kSequential paths run their no-prefetch Baseline
-/// loops through it: no engine schedule is a plain loop without prefetches.
+/// Runs `fn(part, range)` over a static contiguous split of [0, num_inputs)
+/// into one part per thread of `exec` (ForRanges; inline with one thread),
+/// timed around the whole dispatch.  The drivers' kSequential paths run
+/// their no-prefetch Baseline loops through it: no engine schedule is a
+/// plain loop without prefetches.
 template <typename Fn>
 RunStats RunPartitioned(Executor& exec, uint64_t num_inputs, Fn&& fn) {
   RunStats run;
   run.inputs = num_inputs;
-  const uint32_t threads = std::max(1u, exec.num_threads());
-  run.threads = threads;
+  run.threads = exec.pool().size();
   WallTimer wall;
   CycleTimer cycles;
-  if (threads == 1) {
-    fn(0u, Range{0, num_inputs});
-  } else {
-    SpinBarrier barrier(threads);
-    exec.pool().Run([&](uint32_t tid) {
-      const Range r = PartitionRange(num_inputs, threads, tid);
-      barrier.Wait();
-      fn(tid, r);
-      barrier.Wait();
-    });
-  }
+  ForRanges(&exec.pool(), num_inputs, fn);
   run.cycles = cycles.Elapsed();
   run.seconds = wall.ElapsedSeconds();
   run.dispatch_seconds = run.seconds;

@@ -157,11 +157,13 @@ struct RunStats {
   uint64_t morsels = 0;   ///< morsels claimed (0 on the 1-thread path)
   uint32_t threads = 0;
   uint64_t cycles = 0;    ///< execution span (see seconds), in TSC ticks
-  /// Wall time of the measured execution region: barrier-to-barrier on the
-  /// fork-join path, first-morsel-to-completion on the scheduler path.
+  /// Wall time of the measured execution region: the whole dispatch on the
+  /// static-range path (RunPartitioned, the partitioned build), first-
+  /// morsel-to-completion on the scheduler path.
   double seconds = 0;
-  /// Wall time of the whole run including team dispatch (fork-join path) or
-  /// submit-to-completion latency (scheduler path); always >= `seconds`.
+  /// Wall time of the whole run including team dispatch (static-range
+  /// path: equal to `seconds`) or submit-to-completion latency (scheduler
+  /// path); always >= `seconds`.
   double dispatch_seconds = 0;
   /// Populated when the run executed under ExecPolicy::kAdaptive.
   AdaptiveStats adaptive;

@@ -66,12 +66,6 @@ void ChainedHashTable::InsertUnsync(const Tuple& t) {
   InsertInto(BucketForKey(t.key), t);
 }
 
-void ChainedHashTable::InsertSync(const Tuple& t) {
-  BucketNode* head = BucketForKey(t.key);
-  LatchGuard guard(head->latch);
-  InsertInto(head, t);
-}
-
 ChainStats ChainedHashTable::ComputeStats() const {
   ChainStats stats;
   stats.num_buckets = buckets_.size();
@@ -130,14 +124,6 @@ void ChainedHashTable::CollectChain(uint64_t bucket_index,
 
 void BuildTableUnsync(const Relation& build, ChainedHashTable* table) {
   for (const Tuple& t : build) table->InsertUnsync(t);
-}
-
-void BuildTableParallel(const Relation& build, uint32_t num_threads,
-                        ChainedHashTable* table) {
-  ParallelFor(num_threads, [&](uint32_t tid) {
-    const Range r = PartitionRange(build.size(), num_threads, tid);
-    for (uint64_t i = r.begin; i < r.end; ++i) table->InsertSync(build[i]);
-  });
 }
 
 }  // namespace amac

@@ -98,9 +98,6 @@ class ChainedHashTable {
   /// Non-synchronized insert (single-threaded build).
   void InsertUnsync(const Tuple& t);
 
-  /// Latched insert (multi-threaded build); spins on the bucket latch.
-  void InsertSync(const Tuple& t);
-
   /// Reset to empty (keeps the allocations).
   void Clear();
 
@@ -176,9 +173,5 @@ class ChainedHashTable {
 /// Build the table from a relation, single-threaded (the baseline build;
 /// the staged build variants live in src/join/build_*).
 void BuildTableUnsync(const Relation& build, ChainedHashTable* table);
-
-/// Latched parallel build on `num_threads` threads.
-void BuildTableParallel(const Relation& build, uint32_t num_threads,
-                        ChainedHashTable* table);
 
 }  // namespace amac

@@ -1,9 +1,7 @@
 #include "join/hash_join.h"
 
-#include <algorithm>
 #include <vector>
 
-#include "common/barrier.h"
 #include "common/cycle_timer.h"
 #include "common/thread_pool.h"
 #include "join/join_ops.h"
@@ -13,76 +11,69 @@ namespace amac {
 
 namespace {
 
-/// Bucket-range partition: the thread that owns a bucket index.  Contiguous
-/// monotone ranges so a thread's buckets share cache lines.
+/// Bucket-range partition: the part that owns a bucket index.  Contiguous
+/// monotone ranges so a part's buckets share cache lines.
 inline uint32_t BucketOwner(uint64_t bucket_index, uint64_t num_buckets,
-                            uint32_t threads) {
-  return static_cast<uint32_t>(bucket_index * threads / num_buckets);
+                            uint32_t parts) {
+  return static_cast<uint32_t>(bucket_index * parts / num_buckets);
 }
 
-/// Partitioned parallel build (race-free, deterministic):
+/// Partitioned parallel build (race-free, deterministic), two ForRanges
+/// passes over the team:
 ///
-///  phase 1 — every thread scans a static slice of R and scatters each
-///            tuple index into cell[scanner][owner], owner = the thread
-///            whose bucket range the tuple hashes into;
-///  phase 2 — every owner concatenates cell[0..T-1][owner] in scanner
-///            order (slices are contiguous, so the list is in R order) and
-///            inserts its list through the configured policy, *unlatched*:
-///            no other thread touches its buckets.
+///  pass 1 — every part scans a static slice of R and scatters each tuple
+///           index into cells[part][owner], owner = the part whose bucket
+///           range the tuple hashes into;
+///  pass 2 — every owner concatenates cells[0..T-1][owner] in scanner
+///           order (slices are contiguous, so the list is in R order) and
+///           inserts its list through the configured policy, *unlatched*:
+///           no other part touches its buckets.
 ///
-/// Per-bucket insertion order equals the sequential build's (R order), so
-/// chain contents are bit-identical for any thread count and policy — the
-/// property the differential tests pin.
-RunStats BuildParallel(Executor& exec, const Relation& r, uint32_t threads,
+/// The join between the passes publishes every scanner's cells to every
+/// owner.  Per-bucket insertion order equals the sequential build's (R
+/// order), so chain contents are bit-identical for any thread count and
+/// policy — the property the differential tests pin.
+RunStats BuildParallel(Executor& exec, const Relation& r,
                        ChainedHashTable* table) {
   const ExecConfig& config = exec.config();
+  ThreadPool* team = &exec.pool();
+  const uint32_t parts = team->size();
   const uint64_t num_buckets = table->num_buckets();
   std::vector<std::vector<std::vector<uint64_t>>> cells(
-      threads, std::vector<std::vector<uint64_t>>(threads));
-  std::vector<EngineStats> per_thread(threads);
-  std::vector<uint64_t> elapsed(threads, 0);
-  std::vector<double> elapsed_seconds(threads, 0);
-  SpinBarrier barrier(threads);
-  exec.pool().Run([&](uint32_t tid) {
-    barrier.Wait();
-    CycleTimer timer;
-    WallTimer wall;
-    const Range slice = PartitionRange(r.size(), threads, tid);
-    auto& mine = cells[tid];
-    for (auto& cell : mine) {
-      cell.reserve((slice.size() / threads) + 1);
-    }
+      parts, std::vector<std::vector<uint64_t>>(parts));
+  std::vector<EngineStats> per_part(parts);
+  WallTimer wall;
+  CycleTimer timer;
+  ForRanges(team, r.size(), [&](uint32_t part, Range slice) {
+    auto& mine = cells[part];
+    for (auto& cell : mine) cell.reserve((slice.size() / parts) + 1);
     for (uint64_t i = slice.begin; i < slice.end; ++i) {
       const uint32_t owner =
-          BucketOwner(table->BucketIndex(r[i].key), num_buckets, threads);
+          BucketOwner(table->BucketIndex(r[i].key), num_buckets, parts);
       mine[owner].push_back(i);
     }
-    barrier.Wait();  // publishes every scanner's cells to every owner
+  });
+  ForRanges(team, parts, [&](uint32_t owner, Range) {
     uint64_t owned_count = 0;
-    for (uint32_t scanner = 0; scanner < threads; ++scanner) {
-      owned_count += cells[scanner][tid].size();
+    for (uint32_t scanner = 0; scanner < parts; ++scanner) {
+      owned_count += cells[scanner][owner].size();
     }
     std::vector<uint64_t> ids;
     ids.reserve(owned_count);
-    for (uint32_t scanner = 0; scanner < threads; ++scanner) {
-      const auto& cell = cells[scanner][tid];
+    for (uint32_t scanner = 0; scanner < parts; ++scanner) {
+      const auto& cell = cells[scanner][owner];
       ids.insert(ids.end(), cell.begin(), cell.end());
     }
     BuildOp<false> op(*table, r, ids.data());
-    per_thread[tid] = Run(config.policy, config.params, op, ids.size());
-    barrier.Wait();
-    elapsed[tid] = timer.Elapsed();
-    elapsed_seconds[tid] = wall.ElapsedSeconds();
+    per_part[owner] = Run(config.policy, config.params, op, ids.size());
   });
   RunStats run;
-  run.inputs = r.size();
-  run.threads = threads;
-  for (uint32_t t = 0; t < threads; ++t) {
-    run.engine.Merge(per_thread[t]);
-    run.cycles = std::max(run.cycles, elapsed[t]);
-    run.seconds = std::max(run.seconds, elapsed_seconds[t]);
-  }
+  run.cycles = timer.Elapsed();
+  run.seconds = wall.ElapsedSeconds();
   run.dispatch_seconds = run.seconds;
+  run.inputs = r.size();
+  run.threads = parts;
+  for (const EngineStats& stats : per_part) run.engine.Merge(stats);
   return run;
 }
 
@@ -101,7 +92,7 @@ RunStats BuildPhase(Executor& exec, const Relation& r,
       return BuildOp<true>(*table, r);
     }));
   }
-  return BuildParallel(exec, r, threads, table);
+  return BuildParallel(exec, r, table);
 }
 
 RunStats ProbePhase(Executor& exec, const ChainedHashTable& table,

@@ -59,7 +59,7 @@ struct JoinResult {
 /// parallel-build strategy (a plan-layer structural dimension):
 ///
 ///   * kPartitioned (and kAuto, the historic default) partitions by bucket
-///     range — tuples are scattered to the thread that owns their bucket,
+///     range — tuples are scattered to the part that owns their bucket,
 ///     so insertion is race-free (no latches) and every bucket's chain is
 ///     bit-identical to a 1-thread build's;
 ///   * kChained inserts under the table's bucket latches, any thread any

@@ -2,9 +2,9 @@
 // control.
 //
 // The paper's interleaving keeps ONE query's dependent misses overlapped;
-// a serving system has many queries in flight at once.  Executor::Run()
-// occupies its whole thread team fork-join style, so two queries can only
-// run back to back.  QueryScheduler multiplexes instead: every admitted
+// a serving system has many queries in flight at once.  An Executor is a
+// one-query client of a private QueryScheduler, so its Run() calls go back
+// to back.  QueryScheduler multiplexes many clients: every admitted
 // query is chopped into morsels, and each in-flight morsel is one task on
 // one shared common/ThreadPool — tasks re-enqueue themselves to the BACK of
 // the FIFO queue after each morsel, so morsels from different queries

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <condition_variable>
 #include <mutex>
 #include <set>
 #include <thread>
@@ -93,50 +94,59 @@ TEST(MorselCursorTest, ZeroTotalYieldsNothing) {
   EXPECT_FALSE(cursor.Next(&r));
 }
 
-TEST(ThreadPoolTest, RunsEveryThreadIdExactlyOnce) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.size(), 4u);
-  std::vector<std::atomic<uint32_t>> counts(4);
-  pool.Run([&](uint32_t tid) { counts[tid].fetch_add(1); });
-  for (uint32_t t = 0; t < 4; ++t) {
-    EXPECT_EQ(counts[t].load(), 1u) << "tid " << t;
-  }
-}
-
 TEST(ThreadPoolTest, SizeOneRunsInlineOnCaller) {
   ThreadPool pool(1);
   const std::thread::id caller = std::this_thread::get_id();
   std::thread::id seen;
-  pool.Run([&](uint32_t tid) {
-    EXPECT_EQ(tid, 0u);
+  ForRanges(&pool, 10, [&](uint32_t part, Range r) {
+    EXPECT_EQ(part, 0u);
+    EXPECT_EQ(r.begin, 0u);
+    EXPECT_EQ(r.end, 10u);
     seen = std::this_thread::get_id();
   });
   EXPECT_EQ(seen, caller);
 }
 
+// The threads of `pool`: every ForRanges part waits until all have
+// started, so no thread can run two of them.
+std::set<std::thread::id> TeamThreadIds(ThreadPool& pool) {
+  std::mutex mu;
+  std::condition_variable cv;
+  std::set<std::thread::id> ids;
+  ForRanges(&pool, 0, [&](uint32_t, Range) {
+    std::unique_lock<std::mutex> lock(mu);
+    ids.insert(std::this_thread::get_id());
+    cv.notify_all();
+    cv.wait(lock, [&] { return ids.size() == pool.size(); });
+  });
+  return ids;
+}
+
 TEST(ThreadPoolTest, WorkersPersistAcrossRuns) {
   ThreadPool pool(3);
-  auto collect = [&] {
-    std::mutex mu;
-    std::set<std::thread::id> ids;
-    pool.Run([&](uint32_t) {
+  const std::set<std::thread::id> team = TeamThreadIds(pool);
+  EXPECT_EQ(team.size(), 3u);
+  std::mutex mu;
+  std::set<std::thread::id> seen;
+  for (int rep = 0; rep < 50; ++rep) {
+    ForRanges(&pool, 64, [&](uint32_t, Range) {
       std::lock_guard<std::mutex> lock(mu);
-      ids.insert(std::this_thread::get_id());
+      seen.insert(std::this_thread::get_id());
     });
-    return ids;
-  };
-  const auto first = collect();
-  EXPECT_EQ(first.size(), 3u);
-  for (int rep = 0; rep < 10; ++rep) {
-    EXPECT_EQ(collect(), first) << "rep " << rep;
+    EXPECT_TRUE(
+        std::includes(team.begin(), team.end(), seen.begin(), seen.end()))
+        << "rep " << rep;
   }
+  EXPECT_EQ(TeamThreadIds(pool), team);
 }
 
 TEST(ThreadPoolTest, ManySequentialRunsAllComplete) {
   ThreadPool pool(4);
   std::atomic<uint64_t> total{0};
   for (int rep = 0; rep < 200; ++rep) {
-    pool.Run([&](uint32_t tid) { total.fetch_add(tid + 1); });
+    ForRanges(&pool, 4, [&](uint32_t part, Range) {
+      total.fetch_add(part + 1);
+    });
   }
   EXPECT_EQ(total.load(), 200u * (1 + 2 + 3 + 4));
 }
@@ -145,7 +155,7 @@ TEST(ThreadPoolTest, ZeroThreadsClampsToOne) {
   ThreadPool pool(0);
   EXPECT_EQ(pool.size(), 1u);
   bool ran = false;
-  pool.Run([&](uint32_t) { ran = true; });
+  ForRanges(&pool, 1, [&](uint32_t, Range) { ran = true; });
   EXPECT_TRUE(ran);
 }
 

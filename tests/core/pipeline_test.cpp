@@ -8,6 +8,7 @@
 // graph-walk source, and persistent-pool behavior.
 #include <gtest/gtest.h>
 
+#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -263,20 +264,27 @@ TEST(PipelineTest, FusedWalkAggregationMatchesWalkOp) {
 }
 
 TEST(ExecutorTest, PersistentPoolReusesWorkers) {
-  // The pool's workers survive across Run() calls: the set of thread ids
-  // observed by consecutive runs is identical.
+  // The pool's workers survive across Run() calls: the team's thread ids
+  // are the same before and after a query.
   Executor exec(ExecConfig{ExecPolicy::kAmac, SchedulerParams{4, 1, 0}, 4,
                            0});
   auto collect = [&] {
     std::mutex mu;
+    std::condition_variable cv;
     std::set<std::thread::id> ids;
-    exec.pool().Run([&](uint32_t) {
-      std::lock_guard<std::mutex> lock(mu);
+    // Every part waits until all have started, so each runs on its own
+    // thread of the team.
+    ForRanges(&exec.pool(), 0, [&](uint32_t, Range) {
+      std::unique_lock<std::mutex> lock(mu);
       ids.insert(std::this_thread::get_id());
+      cv.notify_all();
+      cv.wait(lock, [&] { return ids.size() == exec.num_threads(); });
     });
     return ids;
   };
   const auto first = collect();
+  const Relation rel = MakeDenseUniqueRelation(4096, 90);
+  EXPECT_EQ(exec.Run(Scan(rel)).outputs, rel.size());
   const auto second = collect();
   EXPECT_EQ(first.size(), 4u);
   EXPECT_EQ(first, second);

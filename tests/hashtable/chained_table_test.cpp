@@ -6,6 +6,8 @@
 #include <map>
 #include <vector>
 
+#include "join/hash_join.h"
+
 namespace amac {
 namespace {
 
@@ -133,8 +135,11 @@ TEST(ChainedHashTableTest, ParallelBuildMatchesSequential) {
   const Relation rel = MakeZipfRelation(20000, 5000, 0.5, 25);
   ChainedHashTable seq(rel.size(), DefaultOptions());
   BuildTableUnsync(rel, &seq);
+  // The latched build every multi-threaded plan build runs.
   ChainedHashTable par(rel.size(), DefaultOptions());
-  BuildTableParallel(rel, 4, &par);
+  Executor exec(
+      ExecConfig{ExecPolicy::kAmac, SchedulerParams{10, 1, 0}, 4, 0});
+  BuildPhase(exec, rel, &par, PlanBuildMode::kChained);
   // Same multiset of (key, payload) per key.
   std::map<int64_t, std::vector<int64_t>> expected;
   for (const Tuple& t : rel) expected[t.key].push_back(t.payload);

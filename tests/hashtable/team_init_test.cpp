@@ -7,7 +7,12 @@
 // Clear() hands the same memory out again.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
+#include <mutex>
+#include <thread>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -64,6 +69,76 @@ TEST(TeamInitTest, ForRangesCoversEveryIndexOnce) {
       }
     }
   }
+}
+
+// Runs ForRanges over [0, kCount) on `team` and checks that every part ran
+// once and every index was visited once.
+void ExpectForRangesCoversOnce(ThreadPool* team) {
+  constexpr uint64_t kCount = 1000;
+  std::vector<uint32_t> hits(kCount, 0);
+  std::vector<uint32_t> parts_seen(team->size(), 0);
+  ForRanges(team, kCount, [&](uint32_t part, Range r) {
+    ++parts_seen[part];
+    for (uint64_t i = r.begin; i < r.end; ++i) ++hits[i];
+  });
+  for (uint64_t i = 0; i < kCount; ++i) ASSERT_EQ(hits[i], 1u) << i;
+  for (uint32_t p = 0; p < team->size(); ++p) EXPECT_EQ(parts_seen[p], 1u);
+}
+
+TEST(TeamInitTest, ForRangesFromATaskFinishesWhileOtherWorkersAreBlocked) {
+  std::mutex mu;
+  std::condition_variable cv;
+  uint32_t blocked = 0;
+  bool release = false;
+  bool done = false;
+  ThreadPool team(kTeamSize);
+  // Hold every worker but one inside a task.
+  for (uint32_t w = 0; w + 2 < kTeamSize; ++w) {
+    team.Submit([&] {
+      std::unique_lock<std::mutex> lock(mu);
+      ++blocked;
+      cv.notify_all();
+      cv.wait(lock, [&] { return release; });
+    });
+  }
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return blocked == kTeamSize - 2; });
+  }
+  // The last worker calls ForRanges; no other thread is free to run its
+  // parts, so it must run them itself.
+  team.Submit([&] {
+    ExpectForRangesCoversOnce(&team);
+    std::lock_guard<std::mutex> lock(mu);
+    done = true;
+    cv.notify_all();
+  });
+  std::unique_lock<std::mutex> lock(mu);
+  EXPECT_TRUE(cv.wait_for(lock, std::chrono::seconds(30), [&] {
+    return done;
+  })) << "ForRanges inside a task did not finish";
+  release = true;
+  cv.notify_all();
+  // Wait for the task so its lambda no longer touches this frame.
+  cv.wait(lock, [&] { return done; });
+}
+
+TEST(TeamInitTest, ForRangesBehindQueuedTasksFinishesAndRunsEachOnce) {
+  constexpr uint32_t kTasks = 64;
+  std::vector<std::atomic<uint32_t>> runs(kTasks);
+  ThreadPool team(kTeamSize);
+  for (uint32_t i = 0; i < kTasks; ++i) {
+    team.Submit([&runs, i] {
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+      runs[i].fetch_add(1);
+    });
+  }
+  ExpectForRangesCoversOnce(&team);
+  // Its parts were queued behind every task, so all tasks have started.
+  for (uint32_t i = 0; i < kTasks; ++i) {
+    while (runs[i].load() == 0) std::this_thread::yield();
+  }
+  for (uint32_t i = 0; i < kTasks; ++i) EXPECT_EQ(runs[i].load(), 1u) << i;
 }
 
 TEST(TeamInitTest, ChainedTableMatchesSerialInit) {

@@ -65,22 +65,6 @@ TEST(ThreadPoolTaskTest, WorkersDrainSubmittedTasks) {
   EXPECT_EQ(ran.load(), 64);
 }
 
-TEST(ThreadPoolTaskTest, ForkJoinRunCoexistsWithQueuedTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> task_ran{0};
-  for (int i = 0; i < 16; ++i) {
-    pool.Submit([&task_ran] { task_ran.fetch_add(1); });
-  }
-  std::atomic<uint32_t> fork_join_ran{0};
-  pool.Run([&](uint32_t) { fork_join_ran.fetch_add(1); });
-  EXPECT_EQ(fork_join_ran.load(), 4u);
-  while (task_ran.load() < 16) {
-    pool.TryRunTask();
-    std::this_thread::yield();
-  }
-  EXPECT_EQ(task_ran.load(), 16);
-}
-
 // ---------------------------------------------------------------------------
 // Scheduler basics
 // ---------------------------------------------------------------------------
