@@ -125,7 +125,7 @@ void PerfJsonFields(JsonWriter* json, const PerfCounters::Sample& perf) {
 std::string SkewLabel(double zr, double zs) {
   char buf[32];
   auto one = [](double z) {
-    char b[8];
+    char b[16];  // "%.2g" of any double fits, e.g. "-2.2e-308"
     if (z == 0.0) return std::string("0");
     if (z == 1.0) return std::string("1");
     std::snprintf(b, sizeof(b), "%.2g", z);

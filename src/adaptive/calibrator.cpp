@@ -163,25 +163,14 @@ std::vector<GridPoint> Calibrator::Grid() {
   return grid;
 }
 
-bool Calibrator::Fresh(const CachedEntry& entry,
-                       uint64_t submitted_inputs) const {
-  return submitted_inputs == 0 ||
-         entry.sig.cardinality_log2 ==
-             WorkloadSignature::CardinalityBucket(submitted_inputs);
-}
-
 std::optional<CalibrationResult> Calibrator::Lookup(
-    const WorkloadSignature& sig, uint64_t submitted_inputs) {
+    const WorkloadSignature& sig) {
   std::lock_guard<std::mutex> lock(mu_);
   if (sig.valid()) {
     const auto it = cache_.find(sig.Key());
     if (it != cache_.end()) {
-      if (Fresh(it->second, submitted_inputs)) {
-        ++hits_;
-        return it->second.result;
-      }
-      cache_.erase(it);
-      ++stale_evictions_;
+      ++hits_;
+      return it->second.result;
     }
   }
   ++misses_;
@@ -195,20 +184,15 @@ void Calibrator::Store(const WorkloadSignature& sig,
   cache_[sig.Key()] = CachedEntry{sig, result};
 }
 
-double Calibrator::PeekCyclesPerInput(const WorkloadSignature& sig,
-                                      uint64_t submitted_inputs) const {
-  const std::optional<CalibrationResult> result =
-      PeekResult(sig, submitted_inputs);
-  return result ? result->winner_cycles_per_input : 0;
-}
-
 std::optional<CalibrationResult> Calibrator::PeekResult(
     const WorkloadSignature& sig, uint64_t submitted_inputs) const {
   if (!sig.valid()) return std::nullopt;
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = cache_.find(sig.Key());
   if (it == cache_.end()) return std::nullopt;
-  if (!Fresh(it->second, submitted_inputs)) {
+  if (submitted_inputs != 0 &&
+      it->second.sig.cardinality_log2 !=
+          WorkloadSignature::CardinalityBucket(submitted_inputs)) {
     cache_.erase(it);
     ++stale_evictions_;
     return std::nullopt;

@@ -15,8 +15,9 @@
 //   * `Calibrator` caches finished episodes keyed by WorkloadSignature, so
 //     a repeated query shape skips straight to the winner (pinned by the
 //     tests/adaptive cache-hit suite), and owns the grid construction.
-//     Every entry is a measurement; an entry whose cardinality bucket no
-//     longer matches the submitted relation is evicted on reuse.
+//     Every entry is a measurement; the plan cost model's peek evicts an
+//     entry whose cardinality bucket no longer matches the submitted
+//     relation.
 //
 // The governor (adaptive/governor.h) drives episodes per query and layers
 // the epsilon-greedy exploration / drift re-tuning loop on top.
@@ -158,30 +159,20 @@ class Calibrator {
   static std::vector<GridPoint> Grid();
 
   /// Cached result for `sig`, counting a hit or miss; invalid signatures
-  /// always miss (and are never stored).  When `submitted_inputs` is
-  /// non-zero the entry is validated against the relation actually being
-  /// submitted: a caller-pinned signature reused across relation sizes
-  /// (the stale-prior hazard — the stored signature equals the passed one,
-  /// so the key alone cannot catch it) is evicted and counted as a miss
-  /// when its stored cardinality bucket no longer matches.
-  std::optional<CalibrationResult> Lookup(const WorkloadSignature& sig,
-                                          uint64_t submitted_inputs = 0);
+  /// always miss (and are never stored).
+  std::optional<CalibrationResult> Lookup(const WorkloadSignature& sig);
 
   /// Record (or overwrite, after a re-tune) the calibration for `sig`.
   void Store(const WorkloadSignature& sig, const CalibrationResult& result);
 
-  /// The cached winner's cycles-per-input for `sig`, or 0 when unknown.
-  /// Unlike Lookup this counts neither a hit nor a miss: it exists for
-  /// sizing decisions (the deadline-aware morsel picker, the plan cost
-  /// model) that merely peek at the cache without claiming its statistics.
-  /// Non-zero `submitted_inputs` applies the same cardinality-bucket
-  /// staleness validation as Lookup (evicting on mismatch).
-  double PeekCyclesPerInput(const WorkloadSignature& sig,
-                            uint64_t submitted_inputs = 0) const;
-
-  /// Full-entry variant of PeekCyclesPerInput (same non-counting, same
-  /// staleness validation): the plan cost model reads the stored
-  /// observed_selectivity alongside the cycles-per-input.
+  /// The cached result for `sig`, or nullopt when unknown.  Unlike Lookup
+  /// this counts neither a hit nor a miss: the plan cost model peeks at the
+  /// stored cycles-per-input and observed selectivity without claiming the
+  /// cache's statistics.  Non-zero `submitted_inputs` validates the entry
+  /// against the relation actually submitted: a plan shape's signature
+  /// reused across relation sizes (the stale-prior hazard — the key alone
+  /// cannot catch it) is evicted when its stored cardinality bucket no
+  /// longer matches.
   std::optional<CalibrationResult> PeekResult(
       const WorkloadSignature& sig, uint64_t submitted_inputs = 0) const;
 
@@ -207,10 +198,6 @@ class Calibrator {
     WorkloadSignature sig;  ///< as stored — bucket validated on reuse
     CalibrationResult result;
   };
-
-  /// True when the entry is still trustworthy for a run over
-  /// `submitted_inputs` rows (0 skips the cardinality check).  Lock held.
-  bool Fresh(const CachedEntry& entry, uint64_t submitted_inputs) const;
 
   mutable std::mutex mu_;
   mutable std::unordered_map<uint64_t, CachedEntry> cache_;  ///< by sig.Key()

@@ -33,15 +33,14 @@ constexpr double kMorselClip = 2.0;
 QueryGovernor::QueryGovernor(const AdaptiveConfig& config,
                              Calibrator* calibrator,
                              const WorkloadSignature& signature,
-                             uint32_t stages, uint64_t num_inputs,
-                             uint64_t seed)
+                             uint32_t stages, uint64_t seed)
     : config_(config),
       calibrator_(calibrator),
       signature_(signature),
       stages_(std::max(1u, stages)),
       rng_(seed) {
   if (calibrator_ != nullptr) {
-    if (const auto cached = calibrator_->Lookup(signature_, num_inputs)) {
+    if (const auto cached = calibrator_->Lookup(signature_)) {
       cache_hit_ = true;
       AdoptWinnerLocked(cached->winner, cached->winner_cycles_per_input,
                         cached->survivors);

@@ -47,13 +47,10 @@ class QueryGovernor {
  public:
   /// `calibrator` (nullable) supplies the cross-query cache; `stages` is
   /// the caller's pipeline-stage knob, passed through to every grid point.
-  /// Non-zero `num_inputs` lets the cache-hit path validate the cached
-  /// entry against the relation actually submitted (stale priors from a
-  /// pinned signature reused across relation sizes are evicted instead of
-  /// adopted).  `seed` picks the rng stream; tests vary it.
+  /// `seed` picks the rng stream; tests vary it.
   QueryGovernor(const AdaptiveConfig& config, Calibrator* calibrator,
                 const WorkloadSignature& signature, uint32_t stages,
-                uint64_t num_inputs = 0, uint64_t seed = kGovernorSeed);
+                uint64_t seed = kGovernorSeed);
 
   /// The schedule the next morsel should run.  `token` must be handed back
   /// to Report() with the morsel's measurements.

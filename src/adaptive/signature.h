@@ -9,9 +9,7 @@
 // 60k and 62k probes share one calibration but 1k and 1M do not), and the
 // per-lookup state footprint (a proxy for payload size: wider state means
 // fewer useful in-flight slots per L1).  The Executor / QueryScheduler
-// derive a signature automatically from the submitted operation type;
-// callers that know better (e.g. the same op type over structurally
-// different data) can override it via QueryOptions::signature.
+// derive a signature automatically from the submitted operation type.
 #pragma once
 
 #include <bit>

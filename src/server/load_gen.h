@@ -103,8 +103,7 @@ class ArrivalProcess {
 /// One entry of the per-tenant workload mix.
 struct TenantMix {
   uint32_t tenant = 0;
-  double share = 1.0;   ///< probability weight of an arrival being this tenant
-  double weight = 1.0;  ///< fair-share weight to submit with
+  double share = 1.0;  ///< probability weight of an arrival being this tenant
 };
 
 struct LoadGenOptions {
@@ -113,7 +112,7 @@ struct LoadGenOptions {
   /// Hard cap on submissions regardless of duration (0 = no cap); a
   /// backstop so a misconfigured rate cannot flood a test run.
   uint64_t max_queries = 0;
-  /// Tenant mix; empty means a single tenant {0, 1.0, 1.0}.
+  /// Tenant mix; empty means a single tenant {0, 1.0}.
   std::vector<TenantMix> tenants;
   uint64_t mix_seed = 0x717e9a9731a45eedull;
 };

@@ -1,6 +1,6 @@
 #include "server/query_scheduler.h"
 
-#include <cmath>
+#include <limits>
 
 namespace amac {
 
@@ -12,7 +12,6 @@ constexpr std::chrono::microseconds kWaitPoll{200};
 
 QueryScheduler::QueryScheduler(const QuerySchedulerOptions& options)
     : options_(options),
-      latencies_(kLatencySampleCap, options.reservoir_seed),
       pool_(std::max(1u, options.num_workers)) {
   options_.num_workers = pool_.size();
 }
@@ -23,16 +22,11 @@ void QueryScheduler::Enqueue(std::shared_ptr<detail::QueryState> state) {
   bool reject = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    state->seq = next_seq_++;
     ++submitted_;
-    TenantBook& book = tenants_[state->tenant];
-    ++book.submitted;
-    book.weight = state->tenant_weight;
+    ++tenants_[state->tenant].submitted;
     const uint32_t cap = options_.max_inflight_queries;
     if (cap == 0 || inflight_ < cap) {
       ++inflight_;
-      ++book.admitted;
-      MaybeDegradeLocked(*state);
       LaunchLocked(state);
       return;
     }
@@ -111,7 +105,6 @@ void QueryScheduler::Finish(
   result.deadline_seconds = state->deadline_seconds;
   result.deadline_met = state->deadline_seconds == 0 ||
                         result.latency_seconds <= state->deadline_seconds;
-  result.policy_degraded = state->degraded.load(std::memory_order_relaxed);
 
   // Drop the typed execution state NOW, not when the last ticket copy
   // dies: the per-slot ops behind these closures own real resources
@@ -178,41 +171,8 @@ void QueryScheduler::AdmitPendingLocked(
       continue;
     }
     ++inflight_;
-    ++tenants_[next->tenant].admitted;
-    MaybeDegradeLocked(*next);
     LaunchLocked(next);
   }
-}
-
-void QueryScheduler::MaybeDegradeLocked(detail::QueryState& state) {
-  const uint32_t threshold = options_.degrade_pending_threshold;
-  if (threshold == 0 || !state.degradable) return;
-  if (pending_.size() < threshold) return;
-  if (!state.degraded.exchange(true, std::memory_order_relaxed)) {
-    ++degraded_;
-  }
-}
-
-uint64_t QueryScheduler::DeadlineCappedMorsel(
-    uint64_t derived, const WorkloadSignature& sig, uint64_t num_inputs,
-    const QueryOptions& options) const {
-  const double fraction = options_.deadline_morsel_fraction;
-  if (fraction <= 0 || options.deadline_seconds <= 0) return derived;
-  // Validate the prior against the relation actually submitted: a pinned
-  // signature reused across relation sizes must not size morsels off a
-  // calibration taken at a different cardinality.
-  const double cpi = calibrator_.PeekCyclesPerInput(sig, num_inputs);
-  if (cpi <= 0) return derived;  // not calibrated yet: keep the default
-  static const double tsc_hz = EstimateTscHz();
-  const double budget_inputs =
-      options.deadline_seconds * fraction * tsc_hz / cpi;
-  // Floor well above the widest in-flight window so the cap cannot turn
-  // every morsel into pure fill/drain ramp.
-  constexpr uint64_t kMinMorsel = 32;
-  if (budget_inputs <= static_cast<double>(kMinMorsel)) {
-    return std::min(derived, kMinMorsel);
-  }
-  return std::min(derived, static_cast<uint64_t>(budget_inputs));
 }
 
 void QueryScheduler::FinalizeUnlaunched(
@@ -245,75 +205,24 @@ void QueryScheduler::FinalizeUnlaunched(
 
 std::shared_ptr<detail::QueryState> QueryScheduler::PopPendingLocked() {
   AMAC_CHECK(!pending_.empty());
-  // Effective priority with aging: queue wait buys points, so starvation
-  // under kPriority / the kFairShare tie-break is bounded.
-  const double aging = options_.priority_aging_per_second;
-  const auto aged_priority = [aging](const detail::QueryState& s) {
-    return static_cast<double>(s.priority) +
-           (aging > 0 ? aging * s.submit_timer.ElapsedSeconds() : 0.0);
-  };
+  // The deque is in submission order, so kFifo pops the front.
   auto it = pending_.begin();
-  switch (options_.order) {
-    case AdmissionOrder::kFifo:
-      break;  // deque is in seq order
-    case AdmissionOrder::kPriority: {
-      double best = aged_priority(**it);
-      for (auto cand = std::next(pending_.begin()); cand != pending_.end();
-           ++cand) {
-        const double p = aged_priority(**cand);
-        // Strictly-greater keeps FIFO within a level: the deque is in seq
-        // order, so the first element of the best level wins.
-        if (p > best) {
-          best = p;
-          it = cand;
-        }
+  if (options_.order == AdmissionOrder::kDeadline) {
+    // EDF over remaining slack; deadline-free queries sort last (FIFO
+    // among themselves via the strict < and submission-ordered deque).
+    const auto remaining = [](const detail::QueryState& s) {
+      return s.deadline_seconds > 0
+                 ? s.deadline_seconds - s.submit_timer.ElapsedSeconds()
+                 : std::numeric_limits<double>::infinity();
+    };
+    double best = remaining(**it);
+    for (auto cand = std::next(pending_.begin()); cand != pending_.end();
+         ++cand) {
+      const double r = remaining(**cand);
+      if (r < best) {
+        best = r;
+        it = cand;
       }
-      break;
-    }
-    case AdmissionOrder::kDeadline: {
-      // EDF over remaining slack; deadline-free queries sort last (FIFO
-      // among themselves via the strict < and seq-ordered deque).
-      const auto remaining = [](const detail::QueryState& s) {
-        return s.deadline_seconds > 0
-                   ? s.deadline_seconds - s.submit_timer.ElapsedSeconds()
-                   : std::numeric_limits<double>::infinity();
-      };
-      double best = remaining(**it);
-      for (auto cand = std::next(pending_.begin()); cand != pending_.end();
-           ++cand) {
-        const double r = remaining(**cand);
-        if (r < best) {
-          best = r;
-          it = cand;
-        }
-      }
-      break;
-    }
-    case AdmissionOrder::kFairShare: {
-      // Least weight-normalized admitted work first; aged priority then
-      // seq (deque order) break ties.
-      const auto share = [this](const detail::QueryState& s) {
-        const auto found = tenants_.find(s.tenant);
-        const double admitted =
-            found == tenants_.end()
-                ? 0.0
-                : static_cast<double>(found->second.admitted);
-        return admitted / s.tenant_weight;
-      };
-      double best_share = share(**it);
-      double best_priority = aged_priority(**it);
-      for (auto cand = std::next(pending_.begin()); cand != pending_.end();
-           ++cand) {
-        const double s = share(**cand);
-        const double p = aged_priority(**cand);
-        if (s < best_share ||
-            (s == best_share && p > best_priority)) {
-          best_share = s;
-          best_priority = p;
-          it = cand;
-        }
-      }
-      break;
     }
   }
   std::shared_ptr<detail::QueryState> state = std::move(*it);
@@ -369,7 +278,6 @@ ServingStats QueryScheduler::serving_stats() const {
     stats.shed = shed_;
     stats.goodput_queries = goodput_queries_;
     stats.deadline_missed = deadline_missed_;
-    stats.degraded_queries = degraded_;
     stats.morsels = total_morsels_;
     stats.engine = total_engine_;
     stats.inflight = inflight_;
@@ -385,7 +293,6 @@ ServingStats QueryScheduler::serving_stats() const {
     for (const auto& [tenant, book] : tenants_) {
       TenantServingStats t;
       t.tenant = tenant;
-      t.weight = book.weight;
       t.submitted = book.submitted;
       t.completed = book.completed;
       t.rejected = book.rejected;

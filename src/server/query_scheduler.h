@@ -17,10 +17,12 @@
 //   QueryStats qa = sched.Wait(a);   // Wait() helps drain the task queue
 //
 // Admission control: at most `max_inflight_queries` queries execute
-// concurrently; the rest wait in a FIFO or priority-ordered admission
-// queue (the `order` knob).  Per-query QueryStats split latency into
-// queue-wait vs execute time; scheduler-level ServingStats aggregate
-// p50/p95/p99 latency across completed queries — the latency-under-load
+// concurrently; the rest wait in an admission queue ordered by submission
+// (kFifo) or earliest deadline (kDeadline), optionally bounded
+// (`max_pending` rejects) and pruned of expired work (`shed_expired`).
+// Per-query QueryStats split latency into queue-wait vs execute time;
+// scheduler-level ServingStats aggregate p50/p95/p99 latency and
+// per-tenant outcomes across completed queries — the latency-under-load
 // accounting bench/ext_serving.cpp drives.
 //
 // Threading model: the pool's `size() - 1` workers drain the task queue;
@@ -62,13 +64,9 @@ namespace amac {
 
 /// How the admission queue orders queries waiting for an inflight slot.
 enum class AdmissionOrder : uint8_t {
-  kFifo,      ///< submission order; priorities ignored
-  kPriority,  ///< higher QueryOptions::priority first, FIFO within a level
-              ///< (aged by priority_aging_per_second when configured)
+  kFifo,      ///< submission order
   kDeadline,  ///< earliest absolute deadline first (EDF); no-deadline
               ///< queries admit last, FIFO among themselves
-  kFairShare, ///< tenant with the least weight-normalized admitted work
-              ///< first; aged priority then FIFO break ties
 };
 
 struct QuerySchedulerOptions {
@@ -89,30 +87,6 @@ struct QuerySchedulerOptions {
   /// meet its SLO is dropped instead of wasting workers.  Queries without
   /// a deadline are never shed.
   bool shed_expired = false;
-  /// Priority aging: a queued query's effective priority grows by this
-  /// many points per second of admission-queue wait, so low-priority work
-  /// cannot starve under kPriority / kFairShare tie-breaks.  0 disables.
-  double priority_aging_per_second = 0;
-  /// Pressure-based policy degrade (the soft tier between serving normally
-  /// and rejecting/shedding): when a query is admitted while at least this
-  /// many queries wait in the admission queue, its static policy is
-  /// swapped for `degrade_policy` — typically a cheaper schedule that
-  /// trades per-query speed for lower scheduling overhead under overload.
-  /// Governed (kAdaptive) queries are never degraded (the governor already
-  /// picks per-morsel).  0 disables.
-  uint32_t degrade_pending_threshold = 0;
-  ExecPolicy degrade_policy = ExecPolicy::kSequential;
-  /// Latency-budget-aware morsel sizing: when a static-policy query has a
-  /// deadline and its workload signature has a calibrated cycles-per-input
-  /// (the shared Calibrator), cap its morsel so one morsel costs at most
-  /// this fraction of the deadline — a query whose SLO is tight gets finer
-  /// interleaving granules, so it cannot be stuck behind its own oversized
-  /// morsel.  The cap only shrinks the derived size, never grows it, and
-  /// explicit QueryOptions::morsel_size wins outright.  0 disables.
-  double deadline_morsel_fraction = 0;
-  /// Seed of the latency reservoir's RNG stream (deterministic stats for
-  /// a fixed completion sequence).
-  uint64_t reservoir_seed = 0x5e71e5a7f0e57a75ull;
 };
 
 /// Per-query execution configuration (the Executor's ExecConfig knobs plus
@@ -124,28 +98,20 @@ struct QueryOptions {
   /// also the interleaving granule: smaller morsels = fairer sharing,
   /// more scheduling overhead.
   uint64_t morsel_size = 0;
-  /// Under AdmissionOrder::kPriority, higher admits first.
-  int32_t priority = 0;
   /// Client-observed latency SLO in seconds, measured submit-to-complete;
   /// 0 = none.  A deadline never aborts a running query — it drives EDF
   /// admission (kDeadline), expiry shedding (shed_expired), and the
   /// goodput/deadline-miss accounting in QueryStats / ServingStats.
   double deadline_seconds = 0;
-  /// Tenant id for per-tenant accounting and kFairShare admission.
+  /// Tenant id for per-tenant accounting (ServingStats::tenants).
   uint32_t tenant = 0;
-  /// Fair-share weight of this tenant (kFairShare normalizes admitted
-  /// query counts by it); the last submitted value wins per tenant.
-  double tenant_weight = 1.0;
   /// Cap on this query's concurrent morsels (execution slots); 0 = the
   /// scheduler's num_workers.
   uint32_t max_slots = 0;
-  /// Under ExecPolicy::kAdaptive: the governor's tuning knobs.
+  /// Under ExecPolicy::kAdaptive: the governor's tuning knobs.  The
+  /// calibration-cache key is derived from the operation type + input
+  /// cardinality + per-lookup state size.
   AdaptiveConfig adaptive;
-  /// Under ExecPolicy::kAdaptive: calibration-cache key.  Invalid (the
-  /// default) derives one from the operation type + input cardinality +
-  /// per-lookup state size; set explicitly when the same op type runs over
-  /// structurally different data.
-  WorkloadSignature signature;
 };
 
 /// What Wait() returns: the familiar RunStats plus the serving split of
@@ -166,16 +132,11 @@ struct QueryStats {
   /// Served within its deadline (always true for deadline-free served
   /// queries, always false for rejected/shed ones).
   bool deadline_met = true;
-  /// This query ran under the scheduler's degrade_policy (admitted while
-  /// the admission queue was past degrade_pending_threshold).
-  bool policy_degraded = false;
 };
 
-/// Per-tenant slice of the serving accounting (kFairShare bookkeeping and
-/// the multi-tenant bench sections).
+/// Per-tenant slice of the serving accounting.
 struct TenantServingStats {
   uint32_t tenant = 0;
-  double weight = 1.0;       ///< last submitted tenant_weight
   uint64_t submitted = 0;
   uint64_t completed = 0;    ///< served to completion
   uint64_t rejected = 0;
@@ -199,9 +160,6 @@ struct ServingStats {
   /// deadline is useless work.
   uint64_t goodput_queries = 0;
   uint64_t deadline_missed = 0;  ///< served, but past the deadline
-  /// Queries admitted under pressure with their policy downgraded to the
-  /// scheduler's degrade_policy (degrade_pending_threshold crossed).
-  uint64_t degraded_queries = 0;
   uint64_t morsels = 0;       ///< morsels executed, all completed queries
   EngineStats engine;         ///< merged scheduling counters, ditto
   /// Racy point-in-time queue depths (observability only).
@@ -238,16 +196,8 @@ struct QueryState {
   uint64_t num_inputs = 0;
   uint64_t num_morsels = 0;  ///< bounds the pump-task fan-out
   uint32_t slots = 0;
-  int32_t priority = 0;
   double deadline_seconds = 0;  ///< relative to submit; 0 = none
   uint32_t tenant = 0;
-  double tenant_weight = 1.0;
-  uint64_t seq = 0;  ///< submission order, ties under kPriority
-  /// Static non-degrade policy, so pressure degrade applies (immutable).
-  bool degradable = false;
-  /// Set (under the scheduler's mu_) at admission when the queue is past
-  /// degrade_pending_threshold; read by every morsel of the query.
-  std::atomic<bool> degraded{false};
   /// Run one morsel on the given slot; false once the cursor is exhausted.
   std::function<bool(uint32_t)> run_one_morsel;
   /// Fold per-slot sinks/engine counters into the final RunStats.
@@ -332,29 +282,20 @@ class QueryScheduler {
     auto state = std::make_shared<detail::QueryState>();
     state->num_inputs = num_inputs;
     state->slots = SlotCount(options);
-    state->priority = options.priority;
     state->deadline_seconds = std::max(0.0, options.deadline_seconds);
     state->tenant = options.tenant;
-    state->tenant_weight =
-        options.tenant_weight > 0 ? options.tenant_weight : 1.0;
-    // The signature keys the calibration cache for governed queries AND
-    // the deadline-aware morsel cap for static ones (a governed run of the
-    // same query shape leaves the cycles-per-input a later static query's
-    // sizing peeks at).
-    const WorkloadSignature signature =
-        options.signature.valid()
-            ? options.signature
-            : WorkloadSignature::Make(
-                  typeid(OpType).name(), num_inputs,
-                  static_cast<uint32_t>(sizeof(typename OpType::State)));
-    // Governed queries: build the per-query governor and morselize finer,
-    // so the calibration tournament has enough claims to run on.
+    // Governed queries: build the per-query governor (its calibration is
+    // cached under the query shape's signature) and morselize finer, so
+    // the calibration tournament has enough claims to run on.
     std::shared_ptr<QueryGovernor> governor;
     uint64_t morsel_size;
     if (options.policy == ExecPolicy::kAdaptive) {
       governor = std::make_shared<QueryGovernor>(
-          options.adaptive, &calibrator_, signature,
-          options.params.stages, num_inputs);
+          options.adaptive, &calibrator_,
+          WorkloadSignature::Make(
+              typeid(OpType).name(), num_inputs,
+              static_cast<uint32_t>(sizeof(typename OpType::State))),
+          options.params.stages);
       morsel_size = options.morsel_size > 0
                         ? options.morsel_size
                         : AdaptiveMorselSize(num_inputs, state->slots);
@@ -362,11 +303,6 @@ class QueryScheduler {
       morsel_size = ResolveMorselSize(
           num_inputs, state->slots, options.morsel_size,
           std::max(1u, options.params.inflight));
-      if (options.morsel_size == 0) {
-        morsel_size =
-            DeadlineCappedMorsel(morsel_size, signature, num_inputs, options);
-      }
-      state->degradable = options.policy != options_.degrade_policy;
     }
     state->num_morsels = (num_inputs + morsel_size - 1) / morsel_size;
 
@@ -393,12 +329,7 @@ class QueryScheduler {
     auto typed = std::make_shared<Typed>(std::move(make_op), num_inputs,
                                          morsel_size, options, state->slots);
     typed->governor = std::move(governor);
-    // Raw back-pointer, not the shared_ptr: the closure is stored inside
-    // the state it points at (a shared_ptr capture would be a cycle), and
-    // it only runs while the state is alive.
-    detail::QueryState* const qs = state.get();
-    const ExecPolicy degrade_policy = options_.degrade_policy;
-    state->run_one_morsel = [typed, qs, degrade_policy](uint32_t slot_id) {
+    state->run_one_morsel = [typed](uint32_t slot_id) {
       Range morsel;
       if (!typed->cursor.Next(&morsel)) return false;
       Slot& slot = typed->slots[slot_id];
@@ -412,11 +343,8 @@ class QueryScheduler {
             Run(choice.policy, choice.params, rebased, morsel.size()));
         typed->governor->Report(choice, morsel.size(), timer.Elapsed());
       } else {
-        const ExecPolicy policy =
-            qs->degraded.load(std::memory_order_relaxed) ? degrade_policy
-                                                         : typed->policy;
         slot.engine.Merge(
-            Run(policy, typed->params, rebased, morsel.size()));
+            Run(typed->policy, typed->params, rebased, morsel.size()));
       }
       ++slot.morsels;
       return true;
@@ -450,9 +378,7 @@ class QueryScheduler {
  private:
   /// Per-tenant bookkeeping behind ServingStats::tenants (guarded by mu_).
   struct TenantBook {
-    double weight = 1.0;
     uint64_t submitted = 0;
-    uint64_t admitted = 0;  ///< launched (the kFairShare deficit counter)
     uint64_t completed = 0;
     uint64_t rejected = 0;
     uint64_t shed = 0;
@@ -478,17 +404,6 @@ class QueryScheduler {
   /// outcome set, counted outside the served sums.  Takes mu_ + state mu.
   void FinalizeUnlaunched(const std::shared_ptr<detail::QueryState>& state,
                           QueryOutcome outcome);
-  /// Pressure degrade at admission: with degrade_pending_threshold or more
-  /// queries waiting, a degradable query's morsels run under
-  /// degrade_policy.  Called under mu_ right before LaunchLocked.
-  void MaybeDegradeLocked(detail::QueryState& state);
-  /// Deadline-aware morsel cap (deadline_morsel_fraction): shrink
-  /// `derived` so one morsel of a calibrated workload costs at most the
-  /// configured fraction of the query's deadline.
-  uint64_t DeadlineCappedMorsel(uint64_t derived,
-                                const WorkloadSignature& sig,
-                                uint64_t num_inputs,
-                                const QueryOptions& options) const;
   bool AllDoneLocked() const {
     return completed_ + rejected_ + shed_ == submitted_;
   }
@@ -497,7 +412,6 @@ class QueryScheduler {
 
   mutable std::mutex mu_;
   std::condition_variable drain_cv_;
-  uint64_t next_seq_ = 0;                                  ///< guarded by mu_
   uint32_t inflight_ = 0;                                  ///< guarded by mu_
   std::deque<std::shared_ptr<detail::QueryState>> pending_;  ///< ditto
   // Serving accounting (guarded by mu_).
@@ -507,7 +421,6 @@ class QueryScheduler {
   uint64_t shed_ = 0;
   uint64_t goodput_queries_ = 0;
   uint64_t deadline_missed_ = 0;
-  uint64_t degraded_ = 0;
   uint64_t total_morsels_ = 0;
   EngineStats total_engine_;
   double total_queue_seconds_ = 0;
@@ -520,9 +433,11 @@ class QueryScheduler {
   std::map<uint32_t, TenantBook> tenants_;  ///< guarded by mu_
   /// Uniform reservoir sample of SERVED per-query latencies
   /// (kLatencySampleCap slots), so percentile accounting cannot grow with
-  /// uptime; common/stats.h ReservoirSample (seeded Algorithm R).
+  /// uptime; common/stats.h ReservoirSample (seeded Algorithm R, so the
+  /// stats are deterministic for a fixed completion sequence).
   static constexpr size_t kLatencySampleCap = 4096;
-  ReservoirSample latencies_{kLatencySampleCap};
+  static constexpr uint64_t kLatencySampleSeed = 0x5e71e5a7f0e57a75ull;
+  ReservoirSample latencies_{kLatencySampleCap, kLatencySampleSeed};
 
   /// Calibration cache (internally synchronized, so not under mu_).
   Calibrator calibrator_;

@@ -155,7 +155,8 @@ TEST_P(AdaptiveExecTest, FusedJoinGroupByMatchesOracle) {
 INSTANTIATE_TEST_SUITE_P(Threads, AdaptiveExecTest,
                          ::testing::Values(1u, 2u, 4u),
                          [](const auto& info) {
-                           return "t" + std::to_string(info.param);
+                           std::string name = "t";
+                           return name.append(std::to_string(info.param));
                          });
 
 TEST(AdaptiveCacheTest, RepeatedShapeHitsTheCalibrationCache) {
@@ -186,23 +187,6 @@ TEST(AdaptiveCacheTest, RepeatedShapeHitsTheCalibrationCache) {
       exec.Run(Scan(f.idx_probe).Then(LookupBTree(*f.btree)));
   EXPECT_FALSE(other.adaptive.cache_hit);
   EXPECT_EQ(exec.calibrator().entries(), 2u);
-}
-
-TEST(AdaptiveCacheTest, ExplicitSignatureOverridesDerivedOne) {
-  const Fixture& f = SharedFixture();
-  QueryScheduler sched(QuerySchedulerOptions{2, 2, AdmissionOrder::kFifo});
-  QueryOptions options;
-  options.policy = ExecPolicy::kAdaptive;
-  options.signature = WorkloadSignature::Make("pinned-kind", kScale, 16);
-  const QueryStats a =
-      sched.Wait(Submit(sched, Scan(f.s).Then(Probe<true>(*f.table)),
-                        options));
-  EXPECT_FALSE(a.run.adaptive.cache_hit);
-  // A structurally different query under the SAME explicit signature must
-  // reuse the calibration (the caller took ownership of the keying).
-  const QueryStats b = sched.Wait(
-      Submit(sched, Scan(f.idx_probe).Then(LookupBTree(*f.btree)), options));
-  EXPECT_TRUE(b.run.adaptive.cache_hit);
 }
 
 TEST(AdaptiveServingTest, ConcurrentGovernedQueriesMatchOraclesAndCount) {

@@ -75,8 +75,8 @@ TEST(QueryGovernorTest, DeterministicUnderFixedSeed) {
   config.epsilon = 0.25;  // exploration on, so the rng actually steers
   const uint64_t seed = 0xfeedfacecafef00dull;
   CostModel model;
-  QueryGovernor a(config, nullptr, WorkloadSignature{}, 2, 0, seed);
-  QueryGovernor b(config, nullptr, WorkloadSignature{}, 2, 0, seed);
+  QueryGovernor a(config, nullptr, WorkloadSignature{}, 2, seed);
+  QueryGovernor b(config, nullptr, WorkloadSignature{}, 2, seed);
   const auto da = Drive(&a, model, 300);
   const auto db = Drive(&b, model, 300);
   ASSERT_EQ(da.size(), db.size());
@@ -86,7 +86,7 @@ TEST(QueryGovernorTest, DeterministicUnderFixedSeed) {
   EXPECT_EQ(a.tuning_switches(), b.tuning_switches());
 
   // A different seed must (eventually) explore differently.
-  QueryGovernor c(config, nullptr, WorkloadSignature{}, 2, 0, /*seed=*/1);
+  QueryGovernor c(config, nullptr, WorkloadSignature{}, 2, /*seed=*/1);
   const auto dc = Drive(&c, model, 300);
   bool any_difference = false;
   for (size_t i = 0; i < da.size(); ++i) {

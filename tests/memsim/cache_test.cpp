@@ -108,7 +108,9 @@ TEST(CacheHierarchyTest, InclusiveInvariantHoldsUnderChurn) {
     // evictions, which is exactly when back-invalidation must fire.
     const uint64_t addr = (x >> 33) % (64 * 64);
     h.Access(i % 2, addr, static_cast<uint32_t>(x % 7), i % 3 == 0, i);
-    if (i % 256 == 0) ASSERT_TRUE(h.CheckInclusive()) << "access " << i;
+    if (i % 256 == 0) {
+      ASSERT_TRUE(h.CheckInclusive()) << "access " << i;
+    }
   }
   EXPECT_TRUE(h.CheckInclusive());
   const HierarchyStats& s = h.stats();

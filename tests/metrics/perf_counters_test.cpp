@@ -17,7 +17,7 @@ TEST(PerfCountersTest, StartStopAlwaysSafe) {
   PerfCounters counters;
   counters.Start();
   volatile uint64_t sink = 0;
-  for (int i = 0; i < 100000; ++i) sink += i;
+  for (int i = 0; i < 100000; ++i) sink = sink + i;
   const PerfCounters::Sample sample = counters.Stop();
   EXPECT_EQ(sample.valid, counters.available());
 }
@@ -29,7 +29,7 @@ TEST(PerfCountersTest, CountsWorkWhenAvailable) {
   }
   counters.Start();
   volatile uint64_t sink = 0;
-  for (int i = 0; i < 1000000; ++i) sink += i;
+  for (int i = 0; i < 1000000; ++i) sink = sink + i;
   const PerfCounters::Sample sample = counters.Stop();
   EXPECT_TRUE(sample.valid);
   EXPECT_GT(sample.instructions, 1000000u);  // at least the loop body
@@ -43,7 +43,7 @@ TEST(PerfCountersTest, LargerWorkCountsMoreInstructions) {
   auto measure = [&](int iters) {
     counters.Start();
     volatile uint64_t sink = 0;
-    for (int i = 0; i < iters; ++i) sink += i;
+    for (int i = 0; i < iters; ++i) sink = sink + i;
     return counters.Stop().instructions;
   };
   const uint64_t small = measure(100000);

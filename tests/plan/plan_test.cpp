@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -409,9 +410,11 @@ TEST(CalibratorStalenessTest, CardinalityBucketMismatchEvicts) {
   result.winner_cycles_per_input = 5.0;
   cal.Store(sig, result);
   // Same signature, consistent size: fine (bucket(1) == bucket(1)).
-  EXPECT_GT(cal.PeekCyclesPerInput(sig, 1), 0.0);
+  const std::optional<CalibrationResult> fresh = cal.PeekResult(sig, 1);
+  ASSERT_TRUE(fresh.has_value());
+  EXPECT_EQ(fresh->winner_cycles_per_input, 5.0);
   // Reused across a much larger relation: stale, evicted.
-  EXPECT_EQ(cal.PeekCyclesPerInput(sig, 1 << 20), 0.0);
+  EXPECT_FALSE(cal.PeekResult(sig, 1 << 20).has_value());
   EXPECT_EQ(cal.stale_evictions(), 1u);
   EXPECT_FALSE(cal.Lookup(sig).has_value());
 }

@@ -233,16 +233,16 @@ TEST(LoadGeneratorTest, TenantMixFollowsShares) {
   options.arrival.rate_qps = 50000;
   options.duration_seconds = 1.0;
   options.max_queries = 4000;
-  options.tenants = {TenantMix{1, 3.0, 1.0}, TenantMix{2, 1.0, 2.0}};
+  options.tenants = {TenantMix{1, 3.0}, TenantMix{2, 1.0}};
   options.mix_seed = 7;
   uint64_t tenant1 = 0, tenant2 = 0;
   LoadGenerator::Run(options, [&](uint64_t, const TenantMix& tenant) {
     if (tenant.tenant == 1) {
-      EXPECT_EQ(tenant.weight, 1.0);
+      EXPECT_EQ(tenant.share, 3.0);
       ++tenant1;
     } else {
       EXPECT_EQ(tenant.tenant, 2u);
-      EXPECT_EQ(tenant.weight, 2.0);
+      EXPECT_EQ(tenant.share, 1.0);
       ++tenant2;
     }
   });

@@ -5,7 +5,7 @@
 // IDENTICAL to their solo sequential run, for every ExecPolicy and pool
 // width, and the scheduler's aggregate counters (morsels, engine parks)
 // must equal the sum of the per-query stats.  Plus: ThreadPool task-queue
-// semantics, admission control (FIFO and priority), work-conserving
+// semantics, admission control (FIFO and EDF), work-conserving
 // Wait(), and the latency split accounting.
 #include "server/query_scheduler.h"
 
@@ -13,7 +13,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -171,9 +170,7 @@ struct TouchOrder {
 
 QueryTicket SubmitStamped(QueryScheduler& sched, const Relation& rel,
                           std::shared_ptr<TouchOrder> order, int id,
-                          int32_t priority) {
-  QueryOptions options;
-  options.priority = priority;
+                          const QueryOptions& options) {
   // Single pump thread in these tests (1-worker scheduler, Drain() runs
   // everything), so a plain first-touch check is race-free.
   auto stamp = [order, id](const Tuple& t) {
@@ -189,62 +186,32 @@ TEST(QuerySchedulerTest, FifoAdmissionRunsInSubmissionOrder) {
   const Relation rel = MakeDenseUniqueRelation(512, 407);
   auto order = std::make_shared<TouchOrder>();
   QueryScheduler sched(QuerySchedulerOptions{1, 1, AdmissionOrder::kFifo});
-  std::vector<QueryTicket> tickets;
+  // Two tenants interleaved: admission ignores the tenant, the accounting
+  // keys on it.
+  QueryOptions tenant_a;
+  tenant_a.tenant = 1;
+  QueryOptions tenant_b;
+  tenant_b.tenant = 2;
   for (int id = 0; id < 4; ++id) {
-    tickets.push_back(SubmitStamped(sched, rel, order, id, /*priority=*/id));
+    SubmitStamped(sched, rel, order, id, id % 2 == 0 ? tenant_a : tenant_b);
   }
   sched.Drain();
   for (int id = 0; id < 4; ++id) {
     EXPECT_EQ(order->touched[id].load(), id) << "query " << id;
   }
-}
-
-TEST(QuerySchedulerTest, PriorityAdmissionRunsHighFirst) {
-  const Relation rel = MakeDenseUniqueRelation(512, 408);
-  auto order = std::make_shared<TouchOrder>();
-  QueryScheduler sched(
-      QuerySchedulerOptions{1, 1, AdmissionOrder::kPriority});
-  // Query 0 admits immediately (cap 1); 1..3 queue with rising priority.
-  std::vector<QueryTicket> tickets;
-  for (int id = 0; id < 4; ++id) {
-    tickets.push_back(SubmitStamped(sched, rel, order, id, /*priority=*/id));
-  }
-  sched.Drain();
-  EXPECT_EQ(order->touched[0].load(), 0);  // already admitted
-  EXPECT_EQ(order->touched[3].load(), 1);  // highest priority next
-  EXPECT_EQ(order->touched[2].load(), 2);
-  EXPECT_EQ(order->touched[1].load(), 3);
-}
-
-TEST(QuerySchedulerTest, PriorityTiesAreFifo) {
-  const Relation rel = MakeDenseUniqueRelation(512, 409);
-  auto order = std::make_shared<TouchOrder>();
-  QueryScheduler sched(
-      QuerySchedulerOptions{1, 1, AdmissionOrder::kPriority});
-  std::vector<QueryTicket> tickets;
-  for (int id = 0; id < 4; ++id) {
-    tickets.push_back(SubmitStamped(sched, rel, order, id, /*priority=*/7));
-  }
-  sched.Drain();
-  for (int id = 0; id < 4; ++id) {
-    EXPECT_EQ(order->touched[id].load(), id) << "query " << id;
-  }
-}
-
-QueryTicket SubmitStampedWith(QueryScheduler& sched, const Relation& rel,
-                              std::shared_ptr<TouchOrder> order, int id,
-                              QueryOptions options) {
-  auto stamp = [order, id](const Tuple& t) {
-    if (order->touched[id].load(std::memory_order_relaxed) == -1) {
-      order->touched[id].store(order->next.fetch_add(1));
-    }
-    return t;
-  };
-  return Submit(sched, Scan(rel).Then(Map(stamp)), options);
+  // Per-tenant accounting surfaced in ServingStats, ascending tenant id.
+  const ServingStats serving = sched.serving_stats();
+  ASSERT_EQ(serving.tenants.size(), 2u);
+  EXPECT_EQ(serving.tenants[0].tenant, 1u);
+  EXPECT_EQ(serving.tenants[0].submitted, 2u);
+  EXPECT_EQ(serving.tenants[0].completed, 2u);
+  EXPECT_EQ(serving.tenants[1].tenant, 2u);
+  EXPECT_EQ(serving.tenants[1].submitted, 2u);
+  EXPECT_EQ(serving.tenants[1].completed, 2u);
 }
 
 // ---------------------------------------------------------------------------
-// SLO-aware admission: rejection, shedding, EDF, aging, fair share
+// SLO-aware admission: rejection, shedding, EDF
 // ---------------------------------------------------------------------------
 
 TEST(QuerySchedulerSloTest, BoundedPendingRejectsOverflow) {
@@ -336,72 +303,15 @@ TEST(QuerySchedulerSloTest, DeadlineAdmissionIsEarliestFirst) {
   loose.deadline_seconds = 3600.0;
   QueryOptions tight;
   tight.deadline_seconds = 60.0;
-  SubmitStampedWith(sched, rel, order, 0, QueryOptions{});
-  SubmitStampedWith(sched, rel, order, 1, loose);
-  SubmitStampedWith(sched, rel, order, 2, tight);
-  SubmitStampedWith(sched, rel, order, 3, QueryOptions{});
+  SubmitStamped(sched, rel, order, 0, QueryOptions{});
+  SubmitStamped(sched, rel, order, 1, loose);
+  SubmitStamped(sched, rel, order, 2, tight);
+  SubmitStamped(sched, rel, order, 3, QueryOptions{});
   sched.Drain();
   EXPECT_EQ(order->touched[0].load(), 0);
   EXPECT_EQ(order->touched[2].load(), 1);
   EXPECT_EQ(order->touched[1].load(), 2);
   EXPECT_EQ(order->touched[3].load(), 3);
-}
-
-TEST(QuerySchedulerSloTest, PriorityAgingPromotesLongWaiters) {
-  const Relation rel = MakeDenseUniqueRelation(512, 433);
-  auto order = std::make_shared<TouchOrder>();
-  QuerySchedulerOptions sopts{1, 1, AdmissionOrder::kPriority};
-  sopts.priority_aging_per_second = 1000.0;
-  QueryScheduler sched(sopts);
-  QueryOptions low;
-  low.priority = 0;
-  QueryOptions high;
-  high.priority = 5;
-  SubmitStampedWith(sched, rel, order, 0, QueryOptions{});  // admitted
-  SubmitStampedWith(sched, rel, order, 1, low);
-  // Give the low-priority query a head start in queue wait that aging
-  // converts to > 5 effective points before the high-priority rival
-  // arrives.
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  SubmitStampedWith(sched, rel, order, 2, high);
-  sched.Drain();
-  EXPECT_EQ(order->touched[0].load(), 0);
-  EXPECT_EQ(order->touched[1].load(), 1);  // aged past priority 5
-  EXPECT_EQ(order->touched[2].load(), 2);
-}
-
-TEST(QuerySchedulerSloTest, FairShareFavorsUnderservedTenants) {
-  const Relation rel = MakeDenseUniqueRelation(512, 434);
-  auto order = std::make_shared<TouchOrder>();
-  QueryScheduler sched(
-      QuerySchedulerOptions{1, 1, AdmissionOrder::kFairShare});
-  QueryOptions tenant_a;
-  tenant_a.tenant = 1;
-  tenant_a.tenant_weight = 1.0;
-  QueryOptions tenant_b;
-  tenant_b.tenant = 2;
-  tenant_b.tenant_weight = 2.0;
-  // id 0 (tenant A) admits immediately, putting A at 1 admitted / weight
-  // 1.  Then: B at 0/2 beats A's 1/1 -> id2; B at 1/2 still beats 1/1 ->
-  // id3; finally id1.
-  SubmitStampedWith(sched, rel, order, 0, tenant_a);
-  SubmitStampedWith(sched, rel, order, 1, tenant_a);
-  SubmitStampedWith(sched, rel, order, 2, tenant_b);
-  SubmitStampedWith(sched, rel, order, 3, tenant_b);
-  sched.Drain();
-  EXPECT_EQ(order->touched[0].load(), 0);
-  EXPECT_EQ(order->touched[2].load(), 1);
-  EXPECT_EQ(order->touched[3].load(), 2);
-  EXPECT_EQ(order->touched[1].load(), 3);
-  // Per-tenant accounting surfaced in ServingStats.
-  const ServingStats serving = sched.serving_stats();
-  ASSERT_EQ(serving.tenants.size(), 2u);
-  EXPECT_EQ(serving.tenants[0].tenant, 1u);
-  EXPECT_EQ(serving.tenants[0].submitted, 2u);
-  EXPECT_EQ(serving.tenants[0].completed, 2u);
-  EXPECT_EQ(serving.tenants[1].tenant, 2u);
-  EXPECT_EQ(serving.tenants[1].weight, 2.0);
-  EXPECT_EQ(serving.tenants[1].completed, 2u);
 }
 
 TEST(QuerySchedulerSloTest, DeadlineMissAccounting) {

@@ -101,7 +101,9 @@ TEST(SkipListTest, FindPredecessorsBracketsKey) {
   FindPredecessors(list, 501, preds, succs);  // odd key: absent
   for (uint32_t l = 0; l < SkipList::kMaxLevel; ++l) {
     EXPECT_LT(preds[l]->key, 501);
-    if (succs[l] != nullptr) EXPECT_GT(succs[l]->key, 501);
+    if (succs[l] != nullptr) {
+      EXPECT_GT(succs[l]->key, 501);
+    }
     if (l > 0 && succs[l] != nullptr) {
       EXPECT_GE(succs[l]->height, l + 1);
     }
