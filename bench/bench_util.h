@@ -1,6 +1,6 @@
 // Shared plumbing for the per-figure benchmark binaries.
 //
-// Conventions (see EXPERIMENTS.md):
+// Conventions (see the README section "Running the figure benches"):
 //  * every binary prints the paper table/figure it regenerates, the scale it
 //    ran at, and one TablePrinter block whose rows mirror the paper's
 //    series;

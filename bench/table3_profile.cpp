@@ -16,7 +16,7 @@ namespace amac::bench {
 namespace {
 
 /// Static instruction estimates per probe tuple at ~1 node visited, from
-/// inspection of the compiled kernels (documented in EXPERIMENTS.md).
+/// inspection of the compiled kernels (README, "Running the figure benches").
 /// The paper's measured values at ~4 nodes were 36/90/67/55.
 double EstimatedInstrPerTuple(ExecPolicy policy) {
   switch (policy) {

@@ -1,12 +1,9 @@
 #include "memsim/memsim.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <memory>
 #include <queue>
 
 #include "common/macros.h"
-#include "memsim/cache/trace.h"
 
 namespace amac::memsim {
 
@@ -20,7 +17,6 @@ MachineConfig MachineConfig::XeonX5670() {
   m.gq_entries = 32;         // paper §5.1.1: Global Queue, 32 load entries [22]
   m.mem_latency = 200;
   m.issue_width = 4;         // 4-wide OoO (Table 2)
-  m.hierarchy = HierarchyConfig::XeonX5670();
   return m;
 }
 
@@ -34,7 +30,6 @@ MachineConfig MachineConfig::SparcT4() {
   m.gq_entries = 128;        // banked L2/memory hierarchy: no shared-queue wall
   m.mem_latency = 240;
   m.issue_width = 2;         // 2-wide OoO (Table 2)
-  m.hierarchy = HierarchyConfig::SparcT4();
   return m;
 }
 
@@ -47,9 +42,6 @@ struct Slot {
   uint32_t remaining = 0;   ///< dependent accesses left in the lookup
   uint32_t visits_left = 0; ///< SPP: scheduled stage visits before bailout
   bool needs_issue = false; ///< stage executed, access not yet issued (MSHR full)
-  // Hierarchy mode: where this lookup's addresses live in the trace.
-  uint64_t trace_base = 0;  ///< first access index of the lookup
-  uint32_t chain_len = 0;   ///< total accesses of the lookup
 };
 
 struct Thread {
@@ -78,8 +70,7 @@ struct Thread {
 
 struct Core {
   uint64_t free_time = 0;
-  uint32_t mshrs_used = 0;     ///< L1-D miss registers
-  uint32_t l2_mshrs_used = 0;  ///< L2 miss registers (hierarchy mode)
+  uint32_t mshrs_used = 0;  ///< L1-D miss registers
 };
 
 struct Socket {
@@ -93,16 +84,13 @@ struct Access {
   uint64_t issue_time = 0;
   bool in_gq = false;
   bool queued = false;      ///< had to wait for an LLC queue slot
-  bool uses_mshr = true;    ///< holds an L1-D MSHR (false: L1 hit)
-  bool uses_l2_mshr = false;///< holds an L2 miss register (LLC/DRAM trips)
-  uint32_t latency = 0;     ///< cycles to data once a queue slot is held
 };
 
 struct Event {
   uint64_t time;
   uint64_t seq;
-  enum Kind : uint8_t { kThreadWake, kAccessDone, kPrefetchDone } kind;
-  uint32_t id;  // thread id, access id, or socket id (prefetch)
+  enum Kind : uint8_t { kThreadWake, kAccessDone } kind;
+  uint32_t id;  // thread id or access id
   bool operator>(const Event& o) const {
     return time != o.time ? time > o.time : seq > o.seq;
   }
@@ -112,14 +100,9 @@ class Sim {
  public:
   Sim(const MachineConfig& machine, const SimConfig& config)
       : m_(machine), c_(config) {
-    AMAC_CHECK((c_.chain_lengths != nullptr && !c_.chain_lengths->empty()) ||
-               (c_.trace != nullptr && c_.trace->lookups() > 0));
+    AMAC_CHECK(c_.chain_lengths != nullptr && !c_.chain_lengths->empty());
     AMAC_CHECK(c_.num_threads >= 1);
     const uint32_t total_cores = m_.sockets * m_.cores_per_socket;
-    if (c_.trace != nullptr) {
-      hier_ = std::make_unique<CacheHierarchy>(
-          m_.hierarchy, total_cores, m_.cores_per_socket, c_.prefetcher);
-    }
     const uint32_t max_threads =
         (c_.scatter_sockets ? total_cores : m_.cores_per_socket) *
         m_.smt_per_core;
@@ -162,8 +145,6 @@ class Sim {
       if (ev.kind == Event::kThreadWake) {
         threads_[ev.id].sleeping = false;
         StepThread(threads_[ev.id]);
-      } else if (ev.kind == Event::kPrefetchDone) {
-        CompletePrefetch(ev.id);
       } else {
         CompleteAccess(ev.id);
       }
@@ -186,10 +167,6 @@ class Sim {
     r.avg_outstanding =
         makespan_ > 0 ? outstanding_area_ / static_cast<double>(makespan_) : 0;
     r.gq_full_waits = gq_full_waits_;
-    if (hier_) {
-      r.cache = hier_->stats();
-      r.prefetch_drops = prefetch_drops_;
-    }
     return r;
   }
 
@@ -200,10 +177,6 @@ class Sim {
   }
 
   uint32_t ChainLength(const Thread& th, uint64_t lookup_idx) const {
-    if (c_.trace != nullptr) {
-      const uint64_t g = GlobalLookup(th, lookup_idx) % c_.trace->lookups();
-      return std::max<uint32_t>(1, c_.trace->ChainLength(g));
-    }
     const auto& lens = *c_.chain_lengths;
     return std::max<uint32_t>(
         1, lens[GlobalLookup(th, lookup_idx) % lens.size()]);
@@ -236,15 +209,12 @@ class Sim {
   /// Try to issue the pending access of `slot`; returns false when the
   /// core's MSHRs are exhausted (caller must retry after a completion).
   bool TryIssue(Thread& th, uint32_t slot_idx, uint64_t time) {
-    if (hier_) return TryIssueHier(th, slot_idx, time);
     Core& core = cores_[th.core];
     if (core.mshrs_used >= m_.mshrs_per_core) return false;
     ++core.mshrs_used;
     TrackOutstanding(+1, time);
     const uint32_t access_id = static_cast<uint32_t>(accesses_.size());
-    Access access{th.id, slot_idx, time, false, false};
-    access.latency = m_.mem_latency;
-    accesses_.push_back(access);
+    accesses_.push_back(Access{th.id, slot_idx, time, false, false});
     ++accesses_issued_;
     Slot& slot = th.slots[slot_idx];
     slot.needs_issue = false;
@@ -263,106 +233,6 @@ class Sim {
     return true;
   }
 
-  /// Hierarchy-mode issue: classify the address first (non-mutating), so a
-  /// resource-full retry never re-trains the caches; commit tags, MSHRs,
-  /// and prefetches only once the needed resources are held.  L1 hits use
-  /// no miss resources; L2 hits hold an L1-D MSHR; LLC hits additionally
-  /// hold an L2 miss register; DRAM trips also arbitrate the LLC queue.
-  bool TryIssueHier(Thread& th, uint32_t slot_idx, uint64_t time) {
-    Slot& slot = th.slots[slot_idx];
-    const uint64_t pos =
-        slot.trace_base + (slot.chain_len - slot.remaining);
-    const uint64_t addr = c_.trace->addrs[pos];
-    Core& core = cores_[th.core];
-    const MemLevel peek = hier_->Classify(th.core, addr);
-    const bool uses_mshr = peek != MemLevel::kL1;
-    const bool uses_l2_mshr =
-        peek == MemLevel::kLLC || peek == MemLevel::kDram;
-    if (uses_mshr && core.mshrs_used >= m_.mshrs_per_core) return false;
-    if (uses_l2_mshr && core.l2_mshrs_used >= m_.hierarchy.l2.mshrs) {
-      return false;
-    }
-    const CacheHierarchy::AccessOutcome outcome = hier_->Access(
-        th.core, addr, c_.trace->pc(pos), /*is_write=*/false, time);
-    if (uses_mshr) ++core.mshrs_used;
-    if (uses_l2_mshr) ++core.l2_mshrs_used;
-    TrackOutstanding(+1, time);
-    const uint32_t access_id = static_cast<uint32_t>(accesses_.size());
-    Access access{th.id, slot_idx, time, false, false};
-    access.uses_mshr = uses_mshr;
-    access.uses_l2_mshr = uses_l2_mshr;
-    access.latency = outcome.latency;
-    accesses_.push_back(access);
-    ++accesses_issued_;
-    slot.needs_issue = false;
-    slot.state = SlotState::kWaiting;
-    if (outcome.level == MemLevel::kDram) {
-      Socket& socket = sockets_[th.socket];
-      if (socket.gq_used < m_.gq_entries) {
-        ++socket.gq_used;
-        accesses_[access_id].in_gq = true;
-        events_.push(Event{time + outcome.latency, seq_++,
-                           Event::kAccessDone, access_id});
-      } else {
-        ++gq_full_waits_;
-        accesses_[access_id].queued = true;
-        socket.gq_waiters.push(access_id);
-      }
-    } else {
-      events_.push(Event{time + outcome.latency, seq_++, Event::kAccessDone,
-                         access_id});
-    }
-    IssuePrefetches(th, outcome.prefetch_candidates, time);
-    return true;
-  }
-
-  /// Arbitrate the core's prefetch candidates: already-cached/in-flight
-  /// ones are filtered, DRAM-bound ones need a real LLC queue slot (drop
-  /// when full — hardware prefetches are lowest priority), LLC-resident
-  /// ones fill the L2 without queue traffic.
-  void IssuePrefetches(Thread& th, const std::vector<uint64_t>& candidates,
-                       uint64_t time) {
-    Socket& socket = sockets_[th.socket];
-    for (const uint64_t addr : candidates) {
-      const CacheHierarchy::PrefetchPlan plan =
-          hier_->PlanPrefetch(th.core, addr);
-      if (plan.filtered) {
-        hier_->CountFilteredPrefetch();
-        continue;
-      }
-      if (plan.dram) {
-        if (socket.gq_used >= m_.gq_entries) {
-          ++prefetch_drops_;
-          continue;
-        }
-        ++socket.gq_used;
-        const uint32_t latency =
-            hier_->CommitPrefetch(th.core, addr, /*dram=*/true, time);
-        events_.push(Event{time + latency, seq_++, Event::kPrefetchDone,
-                           th.socket});
-      } else {
-        hier_->CommitPrefetch(th.core, addr, /*dram=*/false, time);
-      }
-    }
-  }
-
-  /// Hand the freed LLC queue slot to the oldest demand waiter.
-  void GrantGqSlot(Socket& socket) {
-    if (socket.gq_waiters.empty()) return;
-    const uint32_t next_id = socket.gq_waiters.front();
-    socket.gq_waiters.pop();
-    ++socket.gq_used;
-    accesses_[next_id].in_gq = true;
-    events_.push(Event{now_ + accesses_[next_id].latency, seq_++,
-                       Event::kAccessDone, next_id});
-  }
-
-  void CompletePrefetch(uint32_t socket_id) {
-    Socket& socket = sockets_[socket_id];
-    --socket.gq_used;
-    GrantGqSlot(socket);
-  }
-
   void CompleteAccess(uint32_t access_id) {
     const Access access = accesses_[access_id];
     Thread& th = threads_[access.thread];
@@ -370,16 +240,23 @@ class Sim {
     Core& core = cores_[th.core];
     if (access.in_gq) {
       --socket.gq_used;
-      GrantGqSlot(socket);
+      if (!socket.gq_waiters.empty()) {
+        // Hand the freed LLC queue slot to the oldest waiter.
+        const uint32_t next_id = socket.gq_waiters.front();
+        socket.gq_waiters.pop();
+        ++socket.gq_used;
+        accesses_[next_id].in_gq = true;
+        events_.push(Event{now_ + m_.mem_latency, seq_++, Event::kAccessDone,
+                           next_id});
+      }
     }
-    if (access.uses_mshr) --core.mshrs_used;
-    if (access.uses_l2_mshr) --core.l2_mshrs_used;
+    --core.mshrs_used;
     TrackOutstanding(-1, now_);
     makespan_ = std::max(makespan_, now_);
-    if (access.queued && now_ >= access.issue_time + access.latency) {
+    if (access.queued && now_ >= access.issue_time + m_.mem_latency) {
       th.late_fills += static_cast<double>(
-                           now_ - access.issue_time - access.latency) /
-                       static_cast<double>(access.latency);
+                           now_ - access.issue_time - m_.mem_latency) /
+                       static_cast<double>(m_.mem_latency);
     }
     AMAC_CHECK_MSG(th.slots[access.slot].state == SlotState::kWaiting,
                    "completion for a slot that was not waiting");
@@ -425,12 +302,6 @@ class Sim {
     Slot& slot = th.slots[slot_idx];
     AMAC_DCHECK(HasInput(th));
     slot.remaining = ChainLength(th, th.next_lookup);
-    if (c_.trace != nullptr) {
-      const uint64_t g =
-          GlobalLookup(th, th.next_lookup) % c_.trace->lookups();
-      slot.trace_base = c_.trace->offsets[g];
-      slot.chain_len = slot.remaining;
-    }
     ++th.next_lookup;
     slot.needs_issue = true;
     return TryIssue(th, slot_idx, time);
@@ -670,8 +541,6 @@ class Sim {
   uint64_t makespan_ = 0;
   uint64_t accesses_issued_ = 0;
   uint64_t gq_full_waits_ = 0;
-  uint64_t prefetch_drops_ = 0;
-  std::unique_ptr<CacheHierarchy> hier_;  ///< hierarchy mode only
   uint32_t outstanding_ = 0;
   uint64_t outstanding_since_ = 0;
   double outstanding_area_ = 0;

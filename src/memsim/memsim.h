@@ -28,7 +28,8 @@
 //              only when no in-flight access has completed.
 //
 // The model makes no absolute-performance claims; it is used for the
-// *shape* of thread scaling and the Table 4 counters (see EXPERIMENTS.md).
+// *shape* of thread scaling and the Table 4 counters (see DESIGN.md and the
+// README section "Hardware model in the loop").
 #pragma once
 
 #include <cstdint>
@@ -36,11 +37,8 @@
 #include <vector>
 
 #include "core/scheduler.h"  // ExecPolicy
-#include "memsim/cache/cache.h"
 
 namespace amac::memsim {
-
-struct AccessTrace;  // cache/trace.h
 
 /// Machine description (modeled, parameters documented in DESIGN.md).
 struct MachineConfig {
@@ -50,11 +48,8 @@ struct MachineConfig {
   uint32_t smt_per_core = 2;
   uint32_t mshrs_per_core = 10;   ///< outstanding L1-D misses per core
   uint32_t gq_entries = 32;       ///< LLC load-miss queue per socket
-  uint32_t mem_latency = 200;     ///< cycles, LLC miss -> fill (flat mode)
+  uint32_t mem_latency = 200;     ///< cycles, LLC miss -> fill
   uint32_t issue_width = 4;       ///< instructions per cycle when not stalled
-  /// Cache/DRAM geometry for hierarchy mode (SimConfig::trace set); unused
-  /// by the flat model.  Presets pair each machine with its hierarchy.
-  HierarchyConfig hierarchy;
 
   static MachineConfig XeonX5670();
   static MachineConfig SparcT4();
@@ -106,18 +101,11 @@ struct SimConfig {
   EngineCosts costs;
   /// Chain lengths (dependent accesses per lookup); threads draw from this
   /// vector round-robin.  Produce it from real ChainedHashTable stats or a
-  /// synthetic distribution (workload.h).  Ignored when `trace` is set.
+  /// synthetic distribution (workload.h).
   const std::vector<uint32_t>* chain_lengths = nullptr;
   /// Thread placement: spread threads across sockets round-robin instead of
   /// filling socket 0 first (Table 4's "2+2" configuration).
   bool scatter_sockets = false;
-  /// Hierarchy mode: replay this address trace (cache/trace.h) through the
-  /// machine's cache hierarchy instead of charging a flat mem_latency per
-  /// access.  Chain lengths come from the trace's per-lookup slices; every
-  /// flat-mode behavior is preserved when this is null.
-  const AccessTrace* trace = nullptr;
-  /// Hardware prefetcher modeled per core in hierarchy mode.
-  PrefetcherKind prefetcher = PrefetcherKind::kNone;
 };
 
 struct SimResult {
@@ -131,10 +119,6 @@ struct SimResult {
   double avg_outstanding = 0;     ///< mean in-flight accesses (achieved MLP)
   uint64_t gq_full_waits = 0;     ///< accesses that queued for an LLC slot
 
-  /// Hierarchy-mode counters (SimConfig::trace set); all zero in flat mode.
-  HierarchyStats cache;
-  uint64_t prefetch_drops = 0;  ///< candidates dropped: LLC queue was full
-
   double ThroughputPerKilocycle() const {
     return cycles ? static_cast<double>(lookups) * 1000.0 /
                         static_cast<double>(cycles)
@@ -144,36 +128,6 @@ struct SimResult {
     return lookups ? static_cast<double>(cycles) /
                          static_cast<double>(lookups)
                    : 0;
-  }
-  static double Rate(uint64_t part, uint64_t whole) {
-    return whole ? static_cast<double>(part) / static_cast<double>(whole)
-                 : 0;
-  }
-  double L1MissRate() const {
-    return Rate(cache.l1_misses, cache.l1_hits + cache.l1_misses);
-  }
-  double L2MissRate() const {
-    return Rate(cache.l2_misses, cache.l2_hits + cache.l2_misses);
-  }
-  double LlcMissRate() const {
-    return Rate(cache.llc_misses, cache.llc_hits + cache.llc_misses);
-  }
-  double DramRowHitRate() const {
-    return Rate(cache.dram_row_hits, cache.dram_accesses);
-  }
-  /// Fraction of issued prefetches a demand access later consumed.
-  double PrefetchAccuracy() const {
-    return Rate(cache.prefetches_useful, cache.prefetches_issued);
-  }
-  /// Fraction of would-be DRAM misses a prefetch absorbed (late included).
-  double PrefetchCoverage() const {
-    return Rate(cache.prefetches_useful,
-                cache.prefetches_useful + cache.llc_misses);
-  }
-  /// Fraction of useful prefetches whose data arrived before the demand.
-  double PrefetchTimeliness() const {
-    return Rate(cache.prefetches_useful - cache.prefetches_late,
-                cache.prefetches_useful);
   }
 };
 

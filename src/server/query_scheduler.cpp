@@ -57,13 +57,16 @@ void QueryScheduler::LaunchLocked(
 }
 
 void QueryScheduler::Pump(const std::shared_ptr<detail::QueryState>& state) {
-  if (!state->started.exchange(true)) {
-    // First morsel of this query: close the queue-wait window and open the
-    // execute window.  Later tasks racing here in the same instant skew
-    // the split by at most one morsel start.
-    state->queue_seconds = state->submit_timer.ElapsedSeconds();
-    state->exec_timer.Restart();
-    state->exec_cycles.Restart();
+  if (!state->started.load()) {
+    // First morsel of this query: close the queue-wait window.  The stamp
+    // is taken before the exchange, so it precedes every morsel of the
+    // query, including those of pump tasks that lose the race.
+    const double queue_seconds = state->submit_timer.ElapsedSeconds();
+    const uint64_t queue_cycles = state->submit_cycles.Elapsed();
+    if (!state->started.exchange(true)) {
+      state->queue_seconds = queue_seconds;
+      state->queue_cycles = queue_cycles;
+    }
   }
   uint32_t slot;
   {
@@ -96,10 +99,10 @@ void QueryScheduler::Finish(
   result.run.threads = state->slots;
   state->collect(&result.run);
   // `started` is always true here (even empty queries run one pump task).
-  result.queue_seconds = state->queue_seconds;
-  result.run.seconds = state->exec_timer.ElapsedSeconds();
-  result.run.cycles = state->exec_cycles.Elapsed();
   result.latency_seconds = state->submit_timer.ElapsedSeconds();
+  result.queue_seconds = state->queue_seconds;
+  result.run.seconds = result.latency_seconds - state->queue_seconds;
+  result.run.cycles = state->submit_cycles.Elapsed() - state->queue_cycles;
   result.run.dispatch_seconds = result.latency_seconds;
   result.outcome = QueryOutcome::kServed;
   result.deadline_seconds = state->deadline_seconds;

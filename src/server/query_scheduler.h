@@ -211,13 +211,14 @@ struct QueryState {
   /// final decrement finalizes the query.
   std::atomic<uint32_t> outstanding{0};
 
-  // Timing.  submit_timer starts in Submit(); the first morsel task
-  // restarts exec timers (exchange on `started` picks the winner).
+  // Timing: one clock pair, started in Submit().  The first pump task
+  // stamps the queue wait on it (exchange on `started` picks the winner);
+  // the execute span is the rest of the latency.
   WallTimer submit_timer;
+  CycleTimer submit_cycles;
   std::atomic<bool> started{false};
-  double queue_seconds = 0;   ///< written by the starter, read after done
-  WallTimer exec_timer;       ///< restarted by the starter
-  CycleTimer exec_cycles;     ///< restarted by the starter
+  double queue_seconds = 0;  ///< written by the starter, read after done
+  uint64_t queue_cycles = 0; ///< written by the starter, read after done
 
   // Completion.
   std::mutex mu;

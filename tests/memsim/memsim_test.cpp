@@ -32,6 +32,39 @@ TEST(MemsimTest, DeterministicAcrossRuns) {
   EXPECT_EQ(a.gq_full_waits, b.gq_full_waits);
 }
 
+TEST(MemsimTest, FlatModelGolden) {
+  // Exact outputs on a fixed irregular chain-length vector.  The modeled
+  // Fig 7/8/12/13 and Table 4 run this code, so a change to any value here
+  // changes those figures.
+  std::vector<uint32_t> lengths = FixedWalkLengths(1000, 2);
+  for (size_t i = 0; i < lengths.size(); i += 7) lengths[i] = 9;
+  struct Golden {
+    MachineConfig machine;
+    uint32_t threads;
+    ExecPolicy policy;
+    uint64_t cycles, accesses, gq_full_waits;
+  };
+  const Golden golden[] = {
+      {MachineConfig::XeonX5670(), 6, ExecPolicy::kSequential, 1212404,
+       36012, 0},
+      {MachineConfig::XeonX5670(), 6, ExecPolicy::kAmac, 226036, 36012,
+       35897},
+      {MachineConfig::SparcT4(), 16, ExecPolicy::kSequential, 1470495,
+       96032, 0},
+      {MachineConfig::SparcT4(), 16, ExecPolicy::kAmac, 297819, 96032, 0},
+  };
+  for (const Golden& g : golden) {
+    SimConfig c = BaseConfig(lengths);
+    c.policy = g.policy;
+    c.num_threads = g.threads;
+    const SimResult r = Simulate(g.machine, c);
+    SCOPED_TRACE(g.machine.name + " " + ExecPolicyName(g.policy));
+    EXPECT_EQ(r.cycles, g.cycles);
+    EXPECT_EQ(r.accesses, g.accesses);
+    EXPECT_EQ(r.gq_full_waits, g.gq_full_waits);
+  }
+}
+
 TEST(MemsimTest, AccessConservation) {
   // Total simulated accesses == sum of chain lengths of all lookups.
   const auto lengths = FixedWalkLengths(100, 3);

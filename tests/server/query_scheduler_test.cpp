@@ -131,6 +131,31 @@ TEST(QuerySchedulerTest, LatencySplitIsConsistent) {
   EXPECT_GE(serving.max_latency_seconds, serving.p99_latency_seconds);
 }
 
+TEST(QuerySchedulerTest, LatencySplitSumsUnderRacingPumps) {
+  // Every slot of a query starts a pump task, and they race to run the
+  // first morsel.  The queue wait is stamped before the race is decided and
+  // the execute span is the rest of the latency, so the split sums exactly
+  // and the execute span never shrinks to the tail of the query.
+  const Relation rel = MakeDenseUniqueRelation(4096, 406);
+  const Relation empty;
+  QueryScheduler sched(QuerySchedulerOptions{4, 0, AdmissionOrder::kFifo});
+  QueryOptions options;
+  options.morsel_size = 256;  // 16 morsels over 4 slots
+  std::vector<QueryTicket> tickets;
+  for (int i = 0; i < 300; ++i) {
+    tickets.push_back(
+        Submit(sched, Scan(i % 10 == 0 ? empty : rel), options));
+  }
+  for (int i = 0; i < 300; ++i) {
+    const QueryStats q = sched.Wait(tickets[i]);
+    ASSERT_EQ(q.outcome, QueryOutcome::kServed);
+    EXPECT_NEAR(q.queue_seconds + q.run.seconds, q.latency_seconds, 1e-9);
+    if (i % 10 != 0) {
+      EXPECT_GT(q.run.seconds, 0.0);
+    }
+  }
+}
+
 TEST(QuerySchedulerTest, FinishedTurnsTrueAfterWait) {
   const Relation rel = MakeDenseUniqueRelation(1000, 405);
   QueryScheduler sched(QuerySchedulerOptions{2, 0, AdmissionOrder::kFifo});
