@@ -234,9 +234,9 @@ int Run(int argc, char** argv) {
   std::printf(
       "expected shape: 5a - Baseline beats GP/SPP (LLC-resident table); the "
       "paper has AMAC best, but at 2^22 on a 4-core Xeon VM AMAC trails "
-      "Baseline by up to 1.48x on most skewed rows; 5b - all prefetchers "
-      "~3-4x over Baseline at [0,0]; GP/SPP probe degrades ~2x as ZR "
-      "grows, AMAC stays ~flat; VecAMAC matches "
+      "Baseline by up to 1.48x on most skewed rows; 5b - AMAC ~2x over "
+      "Baseline at [0,0] and ~3.4x at [1,0]; GP/SPP gain at most ~1.4x at "
+      "[0,0] and stay within 10%% of Baseline at [1,0]; VecAMAC matches "
       "the best scalar policy on uniform keys (gather uop cost offsets the "
       "SIMD compares) and pulls ahead on build-skewed chained families, "
       "where one gather sequence advances 8 lane-parallel chain walks.\n");

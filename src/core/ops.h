@@ -188,7 +188,7 @@ class HashBuildOp {
       st.ptr = node->next;  // tail walk continues, latch held
       return StepStatus::kParked;
     }
-    BucketNode* fresh = table_.AllocOverflowNode();
+    BucketNode* fresh = table_.AllocOverflowNode(cursor_);
     fresh->tuples[0] = st.tuple;
     fresh->count = 1;
     node->next = fresh;
@@ -208,6 +208,7 @@ class HashBuildOp {
 
   ChainedHashTable& table_;
   const Relation& build_;
+  ChainedHashTable::PoolCursor cursor_;  ///< this slot's overflow nodes
 };
 
 }  // namespace amac

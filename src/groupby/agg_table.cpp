@@ -9,7 +9,10 @@ namespace amac {
 
 AggregateTable::AggregateTable(uint64_t expected_groups, Options options,
                                ThreadPool* team)
-    : hash_kind_(options.hash_kind) {
+    : hash_kind_(options.hash_kind),
+      // Worst case: every group in an overflow node.
+      pool_(expected_groups + 1, NodePool<GroupNode>::Sizing::kAuto,
+            "group node pool exhausted") {
   AMAC_CHECK(expected_groups > 0);
   uint64_t nbuckets = NextPow2(static_cast<uint64_t>(
       static_cast<double>(expected_groups) / options.target_nodes_per_bucket +
@@ -17,19 +20,11 @@ AggregateTable::AggregateTable(uint64_t expected_groups, Options options,
   nbuckets = std::max<uint64_t>(nbuckets, 1);
   buckets_ = MakeBufferOnTeam<GroupNode>(team, nbuckets);
   bucket_mask_ = nbuckets - 1;
-  // Worst case: every group in an overflow node.
-  pool_ = AlignedBuffer<GroupNode>::Uninitialized(expected_groups + 1);
-}
-
-GroupNode* AggregateTable::AllocNode() {
-  const uint64_t idx = pool_next_.fetch_add(1, std::memory_order_relaxed);
-  AMAC_CHECK_MSG(idx < pool_.size(), "group node pool exhausted");
-  return new (pool_.data() + idx) GroupNode();
 }
 
 void AggregateTable::Clear() {
   for (GroupNode& b : buckets_) new (&b) GroupNode();
-  pool_next_.store(0, std::memory_order_relaxed);
+  pool_.Reset();
 }
 
 void AggregateTable::ForEachGroup(

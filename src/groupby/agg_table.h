@@ -8,11 +8,15 @@
 // One group per 64-byte node: the running state of all six aggregates
 // (avg = sum/count is derived) plus the chain pointer.  The first node of
 // each chain is clustered with the bucket header, like the join table.
-// The overflow pool is reserved, not constructed: AllocNode constructs
-// each node as it hands it out.
+// Groups past a bucket's header come from a node pool (hashtable/
+// node_pool.h) sized for the worst case, every group in an overflow node,
+// plus room for the chunk tails cursors strand.  Inserting callers take
+// nodes through a PoolCursor of their own, which claims them in chunks of
+// up to kPoolChunkNodes, so concurrent group-bys share one atomic write
+// per chunk instead of one per new group.  The pool is reserved, not
+// constructed: each node is constructed as it is handed out.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -21,17 +25,18 @@
 #include "common/hash.h"
 #include "common/latch.h"
 #include "common/macros.h"
+#include "hashtable/node_pool.h"
 #include "relation/relation.h"
 
 namespace amac {
 
 struct AMAC_CACHE_ALIGNED GroupNode {
   /// Key an unused node holds.  The invariant (maintained by the table's
-  /// constructor, Clear() and AllocNode()) lets the gathered group-by walk
-  /// (vec_groupby.h) test membership with a key compare alone: a used node
-  /// never stores the sentinel unless the caller aggregates the sentinel
-  /// key itself, which the vectorized path detects per lane and routes
-  /// through the exact scalar step.
+  /// constructor, Clear() and the pool's construct-on-hand-out) lets the
+  /// gathered group-by walk (vec_groupby.h) test membership with a key
+  /// compare alone: a used node never stores the sentinel unless the
+  /// caller aggregates the sentinel key itself, which the vectorized path
+  /// detects per lane and routes through the exact scalar step.
   static constexpr int64_t kEmptyGroupKey =
       std::numeric_limits<int64_t>::min();
 
@@ -77,6 +82,8 @@ struct GroupSummary {
 
 class AggregateTable {
  public:
+  using PoolCursor = NodePool<GroupNode>::Cursor;
+
   struct Options {
     HashKind hash_kind = HashKind::kMurmur;
     /// Expected chain nodes per bucket for `expected_groups` distinct keys.
@@ -98,8 +105,11 @@ class AggregateTable {
   }
   GroupNode* HeadForKey(int64_t key) { return &buckets_[BucketIndex(key)]; }
 
-  /// Thread-safe bump allocation of an overflow node.
-  GroupNode* AllocNode();
+  /// Hand out one overflow node from `cursor`, which claims a chunk from
+  /// the shared pool when it runs dry.  Thread-safe across cursors.
+  GroupNode* AllocNode(PoolCursor& cursor) { return pool_.Alloc(cursor); }
+  /// Hand out one overflow node claimed alone from the shared pool.
+  GroupNode* AllocNode() { return pool_.Alloc(); }
 
   uint64_t num_buckets() const { return buckets_.size(); }
   GroupNode* buckets() { return buckets_.data(); }
@@ -107,6 +117,8 @@ class AggregateTable {
   uint64_t bucket_mask() const { return bucket_mask_; }
   HashKind hash_kind() const { return hash_kind_; }
 
+  /// Reset to empty (keeps the allocations).  The pool restarts at its
+  /// first node, so no caller's cursor may outlive the call.
   void Clear();
 
   /// Visit every group (headers + overflow chains); not a hot path.  The
@@ -128,10 +140,9 @@ class AggregateTable {
 
  private:
   AlignedBuffer<GroupNode> buckets_;
-  AlignedBuffer<GroupNode> pool_;
-  std::atomic<uint64_t> pool_next_{0};
   uint64_t bucket_mask_ = 0;
   HashKind hash_kind_;
+  NodePool<GroupNode> pool_;
 };
 
 }  // namespace amac

@@ -50,9 +50,11 @@ inline void GroupSpinLatch(GroupNode* head) {
 }
 
 /// Latched walk + update/append, all in one go (used by GroupByBaseline).
-/// Caller has already acquired the header latch.
+/// Caller has already acquired the header latch; a new group's node comes
+/// from `cursor`.
 inline void UpdateOrInsertLocked(AggregateTable& table, GroupNode* head,
-                                 int64_t key, int64_t payload) {
+                                 int64_t key, int64_t payload,
+                                 AggregateTable::PoolCursor& cursor) {
   if (!head->used) {
     head->used = 1;
     head->key = key;
@@ -69,7 +71,7 @@ inline void UpdateOrInsertLocked(AggregateTable& table, GroupNode* head,
     if (node->next == nullptr) break;
     node = node->next;
   }
-  GroupNode* fresh = table.AllocNode();
+  GroupNode* fresh = table.AllocNode(cursor);
   fresh->used = 1;
   fresh->key = key;
   fresh->count = 0;
@@ -84,10 +86,12 @@ inline void UpdateOrInsertLocked(AggregateTable& table, GroupNode* head,
 template <bool kSync>
 void GroupByBaseline(const Relation& input, uint64_t begin, uint64_t end,
                      AggregateTable& table) {
+  AggregateTable::PoolCursor cursor;
   for (uint64_t i = begin; i < end; ++i) {
     GroupNode* head = table.HeadForKey(input[i].key);
     detail::GroupSpinLatch<kSync>(head);
-    detail::UpdateOrInsertLocked(table, head, input[i].key, input[i].payload);
+    detail::UpdateOrInsertLocked(table, head, input[i].key, input[i].payload,
+                                 cursor);
     detail::GroupUnlatch<kSync>(head);
   }
 }

@@ -6,7 +6,10 @@
 // that keeps a parked lookup from re-acquiring its own latch.  With kSync =
 // true the same op runs morsel-driven on an Executor team against a shared
 // AggregateTable; aggregation is order-independent, so any policy × thread
-// count combination produces an identical table.
+// count combination produces an identical table.  New groups take their
+// nodes through the op's own pool cursor, one per execution slot, which
+// claims them in chunks (hashtable/node_pool.h); AggregateStage embeds the
+// op, so every fused pipeline slot has its own cursor too.
 #pragma once
 
 #include <cstdint>
@@ -82,7 +85,7 @@ class GroupByOp {
       node->count = 0;
       node->Accumulate(st.payload);
     } else {
-      GroupNode* fresh = table_.AllocNode();
+      GroupNode* fresh = table_.AllocNode(cursor_);
       fresh->used = 1;
       fresh->key = st.key;
       fresh->count = 0;
@@ -205,7 +208,7 @@ class GroupByOp {
         node->count = 0;
         node->Accumulate(st.payload[lane]);
       } else {
-        GroupNode* fresh = table_.AllocNode();
+        GroupNode* fresh = table_.AllocNode(cursor_);
         fresh->used = 1;
         fresh->key = st.key[lane];
         fresh->count = 0;
@@ -228,6 +231,7 @@ class GroupByOp {
 
   AggregateTable& table_;
   const Relation* input_;
+  AggregateTable::PoolCursor cursor_;  ///< this slot's group nodes
 };
 
 /// Pipeline stage (core/pipeline.h): group-by insert fed by upstream rows

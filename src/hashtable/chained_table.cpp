@@ -9,7 +9,16 @@ namespace amac {
 
 ChainedHashTable::ChainedHashTable(uint64_t expected_tuples, Options options,
                                    ThreadPool* team)
-    : hash_kind_(options.hash_kind) {
+    : hash_kind_(options.hash_kind),
+      // Worst case: every tuple collides into a single chain; the header
+      // absorbs 2 tuples and each overflow node another 2.
+      overflow_pool_(options.overflow_capacity != 0
+                         ? options.overflow_capacity
+                         : expected_tuples / BucketNode::kTuplesPerNode + 2,
+                     options.overflow_capacity != 0
+                         ? NodePool<BucketNode>::Sizing::kExact
+                         : NodePool<BucketNode>::Sizing::kAuto,
+                     "overflow pool exhausted") {
   AMAC_CHECK(expected_tuples > 0);
   AMAC_CHECK(options.target_nodes_per_bucket > 0);
   const double tuples_per_bucket =
@@ -19,51 +28,13 @@ ChainedHashTable::ChainedHashTable(uint64_t expected_tuples, Options options,
   nbuckets = std::max<uint64_t>(nbuckets, 1);
   buckets_ = MakeBufferOnTeam<BucketNode>(team, nbuckets);
   bucket_mask_ = nbuckets - 1;
-
-  uint64_t pool_cap = options.overflow_capacity;
-  if (pool_cap == 0) {
-    // Worst case: every tuple collides into a single chain; the header
-    // absorbs 2 tuples and each overflow node another 2.
-    pool_cap = expected_tuples / BucketNode::kTuplesPerNode + 2;
-  }
-  overflow_pool_ = AlignedBuffer<BucketNode>::Uninitialized(pool_cap);
 }
 
 void ChainedHashTable::Clear() {
   for (BucketNode& b : buckets_) new (&b) BucketNode();
-  pool_next_.store(0, std::memory_order_relaxed);
+  overflow_pool_.Reset();
+  serial_cursor_ = PoolCursor();
   has_sentinel_key_.store(false, std::memory_order_relaxed);
-}
-
-BucketNode* ChainedHashTable::AllocOverflowNode() {
-  const uint64_t idx = pool_next_.fetch_add(1, std::memory_order_relaxed);
-  AMAC_CHECK_MSG(idx < overflow_pool_.size(), "overflow pool exhausted");
-  return new (overflow_pool_.data() + idx) BucketNode();
-}
-
-void ChainedHashTable::InsertInto(BucketNode* head, const Tuple& t) {
-  // Balkesen-style O(1) insert: tuples always land in the header node; when
-  // it is full its contents are evicted into a fresh overflow node that is
-  // linked right behind the header.
-  if (head->count == BucketNode::kTuplesPerNode) {
-    BucketNode* spill = AllocOverflowNode();
-    spill->count = head->count;
-    spill->tuples[0] = head->tuples[0];
-    spill->tuples[1] = head->tuples[1];
-    spill->next = head->next;
-    head->next = spill;
-    head->count = 0;
-    // Slot invariant: the append below refills slot 0; slot 1 would keep
-    // the evicted tuple's key as a ghost the sentinel-compare probe could
-    // match ahead of its spilled copy.
-    head->tuples[1].key = BucketNode::kEmptySlotKey;
-  }
-  head->tuples[head->count++] = t;
-  NoteInsertedKey(t.key);
-}
-
-void ChainedHashTable::InsertUnsync(const Tuple& t) {
-  InsertInto(BucketForKey(t.key), t);
 }
 
 ChainStats ChainedHashTable::ComputeStats() const {

@@ -22,6 +22,7 @@
 #include "common/latch.h"
 #include "common/macros.h"
 #include "common/stats.h"
+#include "hashtable/node_pool.h"
 #include "relation/relation.h"
 
 namespace amac {
@@ -32,12 +33,12 @@ class ThreadPool;
 ///
 /// Slot invariant: every tuple slot with index >= count holds
 /// kEmptySlotKey.  A default-constructed node satisfies it; the table's
-/// insert paths maintain it (construction, Clear, AllocOverflowNode, and
-/// the header-eviction discipline), and the vectorized probe
-/// (hashtable/vec_probe.h) relies on it to compare both key slots
-/// unconditionally instead of gathering the header for `count` — an
-/// unused slot can never equal a probe key.  The one collision —
-/// a *stored* key equal to kEmptySlotKey — sets
+/// insert paths maintain it (construction, Clear, the node pool's
+/// construct-on-hand-out, and the header-eviction discipline), and the
+/// vectorized probe (hashtable/vec_probe.h) relies on it to compare both
+/// key slots unconditionally instead of gathering the header for `count`
+/// — an unused slot can never equal a probe key.  The one collision — a
+/// *stored* key equal to kEmptySlotKey — sets
 /// ChainedHashTable::has_sentinel_key() and routes that table's probes
 /// through the scalar walk.
 struct AMAC_CACHE_ALIGNED BucketNode {
@@ -69,12 +70,18 @@ struct ChainStats {
   double top1pct_tuple_share = 0;
 };
 
-/// The chained table: bucket header array + bump-allocated overflow pool.
-/// The pool is reserved, not constructed: AllocOverflowNode constructs
-/// each node as it hands it out, so pool pages a build never reaches are
-/// never backed by memory.
+/// The chained table: bucket header array + overflow node pool
+/// (hashtable/node_pool.h).  Inserting callers take overflow nodes through
+/// a PoolCursor of their own, which claims them from the pool in chunks of
+/// up to kPoolChunkNodes, so concurrent builds share one atomic write per
+/// chunk instead of one per spill.  The pool is reserved, not constructed:
+/// each node is constructed as it is handed out, so pool pages a build
+/// never reaches, the chunk-tail extra capacity included, are never backed
+/// by memory.
 class ChainedHashTable {
  public:
+  using PoolCursor = NodePool<BucketNode>::Cursor;
+
   struct Options {
     /// Buckets are sized so the *expected* number of chain nodes per used
     /// bucket under a uniform dense key distribution equals this value.
@@ -84,8 +91,10 @@ class ChainedHashTable {
     /// `target_nodes_per_bucket = 2` and key duplication.
     double target_nodes_per_bucket = 1.0;
     HashKind hash_kind = HashKind::kMurmur;
-    /// Overflow pool capacity in nodes; 0 = auto (worst case: all tuples
-    /// collide into one chain).
+    /// Overflow pool capacity in nodes; 0 = auto: the worst case (all
+    /// tuples collide into one chain) plus room for the chunk tails that
+    /// cursors strand (node_pool.h).  An explicit capacity is the pool's
+    /// exact size; stranded tails count against it.
     uint64_t overflow_capacity = 0;
   };
 
@@ -95,10 +104,36 @@ class ChainedHashTable {
   ChainedHashTable(uint64_t expected_tuples, Options options,
                    ThreadPool* team = nullptr);
 
-  /// Non-synchronized insert (single-threaded build).
-  void InsertUnsync(const Tuple& t);
+  /// Non-synchronized insert (single-threaded build), taking overflow
+  /// nodes through the table's own serial cursor.
+  void InsertUnsync(const Tuple& t) {
+    InsertLocked(BucketForKey(t.key), t, serial_cursor_);
+  }
 
-  /// Reset to empty (keeps the allocations).
+  /// Balkesen-style O(1) insert into the chain headed by `head`; the
+  /// caller holds its latch or is single-threaded.  Tuples always land in
+  /// the header node; when it is full its contents are evicted into a
+  /// fresh overflow node, taken from `cursor`, linked right behind it.
+  void InsertLocked(BucketNode* head, const Tuple& t, PoolCursor& cursor) {
+    if (head->count == BucketNode::kTuplesPerNode) {
+      BucketNode* spill = AllocOverflowNode(cursor);
+      spill->count = head->count;
+      spill->tuples[0] = head->tuples[0];
+      spill->tuples[1] = head->tuples[1];
+      spill->next = head->next;
+      head->next = spill;
+      head->count = 0;
+      // Slot invariant: the append below refills slot 0; slot 1 would keep
+      // the evicted tuple's key as a ghost the sentinel-compare probe could
+      // match ahead of its spilled copy.
+      head->tuples[1].key = BucketNode::kEmptySlotKey;
+    }
+    head->tuples[head->count++] = t;
+    NoteInsertedKey(t.key);
+  }
+
+  /// Reset to empty (keeps the allocations).  The overflow pool restarts
+  /// at its first node, so no caller's cursor may outlive the call.
   void Clear();
 
   uint64_t BucketIndex(int64_t key) const {
@@ -116,15 +151,20 @@ class ChainedHashTable {
     return &buckets_[BucketIndex(key)];
   }
 
-  /// Allocate one overflow node (thread-safe bump allocation).
-  BucketNode* AllocOverflowNode();
+  /// Hand out one overflow node from `cursor`, which claims a chunk from
+  /// the shared pool when it runs dry.  Thread-safe across cursors.
+  BucketNode* AllocOverflowNode(PoolCursor& cursor) {
+    return overflow_pool_.Alloc(cursor);
+  }
+  /// Hand out one overflow node claimed alone from the shared pool.
+  BucketNode* AllocOverflowNode() { return overflow_pool_.Alloc(); }
 
   /// Record that `key` was stored in the table.  A stored key equal to
   /// BucketNode::kEmptySlotKey would be indistinguishable from an unused
   /// slot under the vectorized probe's sentinel compares, so it flips
   /// has_sentinel_key() and the probes fall back to the scalar walk
-  /// (bitwise-identical results, no gathers).  Insert paths that write
-  /// tuples directly (join/build_kernels.h, core/ops.h) must call this.
+  /// (bitwise-identical results, no gathers).  InsertLocked calls it;
+  /// insert paths that write tuples themselves (core/ops.h) must too.
   void NoteInsertedKey(int64_t key) {
     if (AMAC_UNLIKELY(key == BucketNode::kEmptySlotKey) &&
         !has_sentinel_key_.load(std::memory_order_relaxed)) {
@@ -143,9 +183,10 @@ class ChainedHashTable {
   HashKind hash_kind() const { return hash_kind_; }
   BucketNode* buckets() { return buckets_.data(); }
   const BucketNode* buckets() const { return buckets_.data(); }
-  uint64_t overflow_nodes_used() const {
-    return pool_next_.load(std::memory_order_relaxed);
-  }
+  /// Overflow nodes claimed from the pool: those handed out plus the
+  /// unused chunk tails cursors hold or dropped (at most one chunk per
+  /// cursor).
+  uint64_t overflow_nodes_used() const { return overflow_pool_.claimed(); }
 
   /// Walk every chain and gather shape statistics (not a hot path).
   ChainStats ComputeStats() const;
@@ -160,14 +201,12 @@ class ChainedHashTable {
   void CollectChain(uint64_t bucket_index, std::vector<Tuple>* out) const;
 
  private:
-  void InsertInto(BucketNode* head, const Tuple& t);
-
   AlignedBuffer<BucketNode> buckets_;
-  AlignedBuffer<BucketNode> overflow_pool_;
-  std::atomic<uint64_t> pool_next_{0};
   std::atomic<bool> has_sentinel_key_{false};
   uint64_t bucket_mask_ = 0;
   HashKind hash_kind_;
+  NodePool<BucketNode> overflow_pool_;
+  PoolCursor serial_cursor_;  ///< InsertUnsync's
 };
 
 /// Build the table from a relation, single-threaded (the baseline build;

@@ -9,9 +9,11 @@
 // distribution" (§5.1).
 //
 // Every prefetching schedule runs the generic BuildOp / HashBuildOp
-// (join/join_ops.h, core/ops.h) through Run(); they share InsertLocked
-// below.  BuildBaseline stays as the sequential oracle: it spins on a held
-// latch (kSync) or elides atomics entirely (kSync=false, single-threaded).
+// (join/join_ops.h, core/ops.h) through Run(); BuildOp and BuildBaseline
+// share ChainedHashTable::InsertLocked.  BuildBaseline stays as the
+// sequential oracle: it spins on a held latch (kSync) or elides atomics
+// entirely (kSync=false, single-threaded).  Each takes overflow nodes
+// through a pool cursor of its own (hashtable/node_pool.h).
 #pragma once
 
 #include <cstdint>
@@ -21,49 +23,16 @@
 
 namespace amac {
 
-namespace detail {
-
-/// Insert with the header-evict discipline; caller holds the latch (or is
-/// single-threaded).  Mirrors ChainedHashTable::InsertInto but lives here
-/// so BuildOp and BuildBaseline can inline it.
-inline void InsertLocked(ChainedHashTable& ht, BucketNode* head,
-                         const Tuple& t) {
-  if (head->count == BucketNode::kTuplesPerNode) {
-    BucketNode* spill = ht.AllocOverflowNode();
-    spill->count = head->count;
-    spill->tuples[0] = head->tuples[0];
-    spill->tuples[1] = head->tuples[1];
-    spill->next = head->next;
-    head->next = spill;
-    head->count = 0;
-    // Slot invariant (chained_table.h): the append below refills slot 0;
-    // slot 1 must not keep the evicted tuple's key as a ghost.
-    head->tuples[1].key = BucketNode::kEmptySlotKey;
-  }
-  head->tuples[head->count++] = t;
-  ht.NoteInsertedKey(t.key);
-}
-
-template <bool kSync>
-inline void InsertSpin(ChainedHashTable& ht, BucketNode* head,
-                       const Tuple& t) {
-  if constexpr (kSync) {
-    head->latch.Acquire();
-    InsertLocked(ht, head, t);
-    head->latch.Release();
-  } else {
-    InsertLocked(ht, head, t);
-  }
-}
-
-}  // namespace detail
-
 /// Baseline build: dependent access per tuple, no prefetch.
 template <bool kSync>
 void BuildBaseline(const Relation& build, uint64_t begin, uint64_t end,
                    ChainedHashTable& ht) {
+  ChainedHashTable::PoolCursor cursor;
   for (uint64_t i = begin; i < end; ++i) {
-    detail::InsertSpin<kSync>(ht, ht.BucketForKey(build[i].key), build[i]);
+    BucketNode* head = ht.BucketForKey(build[i].key);
+    if constexpr (kSync) head->latch.Acquire();
+    ht.InsertLocked(head, build[i], cursor);
+    if constexpr (kSync) head->latch.Release();
   }
 }
 

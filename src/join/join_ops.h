@@ -3,9 +3,10 @@
 // These are the production stage machines the join driver (hash_join.cpp)
 // feeds to Run(ExecPolicy, ...) and the Executor — the same lookup logic as
 // the Baseline loops in probe_kernels.h / build_kernels.h (VisitNode,
-// InsertLocked), expressed once against the core/engine.h Operation
-// concept so every schedule (sequential, GP, SPP, AMAC, coroutine) and any
-// thread count run them without join-specific scheduling code.
+// ChainedHashTable::InsertLocked), expressed once against the
+// core/engine.h Operation concept so every schedule (sequential, GP, SPP,
+// AMAC, coroutine) and any thread count run them without join-specific
+// scheduling code.
 //
 // The hand-written Listing-1 ProbeAmac remains as the ablation bench's
 // abstraction-cost reference; the drivers never use it.
@@ -162,6 +163,10 @@ class ProbeOp {
 /// every schedule (including the coroutine interleaver) completes inserts
 /// in input order, which makes the partitioned build's per-bucket chains
 /// bitwise-identical to a sequential build.
+///
+/// Spills take overflow nodes through the op's own pool cursor: an
+/// executor builds one op per execution slot, so slots claim nodes in
+/// chunks and share one atomic write per chunk (hashtable/node_pool.h).
 template <bool kSync>
 class BuildOp {
  public:
@@ -183,10 +188,10 @@ class BuildOp {
   StepStatus Step(State& st) {
     if constexpr (kSync) {
       if (!st.head->latch.TryAcquire()) return StepStatus::kRetry;
-      detail::InsertLocked(table_, st.head, st.tuple);
+      table_.InsertLocked(st.head, st.tuple, cursor_);
       st.head->latch.Release();
     } else {
-      detail::InsertLocked(table_, st.head, st.tuple);
+      table_.InsertLocked(st.head, st.tuple, cursor_);
     }
     return StepStatus::kDone;
   }
@@ -195,6 +200,7 @@ class BuildOp {
   ChainedHashTable& table_;
   const Relation& build_;
   const uint64_t* ids_;
+  ChainedHashTable::PoolCursor cursor_;
 };
 
 }  // namespace amac
