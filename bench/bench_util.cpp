@@ -136,6 +136,24 @@ std::string SkewLabel(double zr, double zs) {
   return buf;
 }
 
+bool SequentialOracle::Check(const std::string& where, ExecPolicy policy,
+                             uint64_t got_outputs, uint64_t got_checksum) {
+  if (policy == ExecPolicy::kSequential) {
+    outputs = got_outputs;
+    checksum = got_checksum;
+    return true;
+  }
+  if (got_outputs == outputs && got_checksum == checksum) return true;
+  std::printf("ERROR: %s diverges from the sequential oracle at %s "
+              "(outputs %llu vs %llu, checksum %llx vs %llx)\n",
+              ExecPolicyName(policy), where.c_str(),
+              static_cast<unsigned long long>(got_outputs),
+              static_cast<unsigned long long>(outputs),
+              static_cast<unsigned long long>(got_checksum),
+              static_cast<unsigned long long>(checksum));
+  return false;
+}
+
 void PrintHeader(const std::string& artifact, const std::string& notes) {
   std::printf("\n########################################################\n");
   std::printf("# Reproduces: %s\n", artifact.c_str());

@@ -107,6 +107,19 @@ std::unique_ptr<CsrGraph> MakeWalkGraph(uint64_t scale, uint64_t seed);
 /// "[ZR, ZS]" labels used by Figs. 5/7/8.
 std::string SkewLabel(double zr, double zs);
 
+/// The oracle check of one row of a policy sweep whose first column is
+/// kSequential: that column's (outputs, checksum) is the oracle, and every
+/// later policy must reproduce it.
+struct SequentialOracle {
+  uint64_t outputs = 0;
+  uint64_t checksum = 0;
+
+  /// Records the kSequential result, or compares another policy's with it;
+  /// on a divergence prints an ERROR line naming `where` and returns false.
+  bool Check(const std::string& where, ExecPolicy policy, uint64_t outputs,
+             uint64_t checksum);
+};
+
 /// Banner naming the paper artifact this binary regenerates.
 void PrintHeader(const std::string& artifact, const std::string& notes);
 

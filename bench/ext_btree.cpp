@@ -3,7 +3,10 @@
 // performs exactly `height` dependent node visits, so this is the fully
 // regular regime where GP/SPP were designed to shine; contrasted with
 // fig10_bst it isolates how much of AMAC's edge comes from irregularity
-// and how much from schedule efficiency.
+// and how much from schedule efficiency.  Every column runs the one
+// BTreeSearchOp; Baseline is its kSequential schedule, which issues no
+// prefetches.  Every policy's matches and checksum are checked against
+// the Baseline column's (nonzero exit on divergence).
 #include <algorithm>
 #include <cstdio>
 #include <vector>
@@ -11,7 +14,6 @@
 #include "bench_util.h"
 #include "btree/btree.h"
 #include "btree/btree_ops.h"
-#include "btree/btree_search.h"
 #include "common/cycle_timer.h"
 #include "common/table_printer.h"
 #include "core/scheduler.h"
@@ -20,22 +22,22 @@
 namespace amac::bench {
 namespace {
 
-uint64_t Measure(const BTree& tree, const Relation& probe, ExecPolicy policy,
+/// Best-of-reps cycles of one policy, plus the last rep's sink.
+struct Measured {
+  uint64_t cycles = UINT64_MAX;
+  CountChecksumSink sink;
+};
+
+Measured Measure(const BTree& tree, const Relation& probe, ExecPolicy policy,
                  uint32_t m, uint32_t reps) {
   const SchedulerParams params{m, tree.height()};
-  uint64_t best = UINT64_MAX;
+  Measured best;
   for (uint32_t rep = 0; rep < std::max(1u, reps); ++rep) {
-    CountChecksumSink sink;
+    best.sink = CountChecksumSink{};
+    BTreeSearchOp<CountChecksumSink> op(tree, probe, best.sink);
     CycleTimer timer;
-    if (policy == ExecPolicy::kSequential) {
-      // No-prefetch pointer chase: the anchor the speedups are measured
-      // against, kept hand-written like the paper's baseline.
-      BTreeSearchBaseline(tree, probe, 0, probe.size(), sink);
-    } else {
-      BTreeSearchOp<CountChecksumSink> op(tree, probe, sink);
-      amac::Run(policy, params, op, probe.size());
-    }
-    best = std::min(best, timer.Elapsed());
+    amac::Run(policy, params, op, probe.size());
+    best.cycles = std::min(best.cycles, timer.Elapsed());
   }
   return best;
 }
@@ -49,6 +51,7 @@ int Run(int argc, char** argv) {
               "bulk-loaded, 256B nodes, exactly height() accesses per "
               "lookup; compare against fig10_bst");
 
+  bool ok = true;
   TablePrinter table("B+-tree search: cycles per lookup",
                      {"keys (log2)", "height", "Baseline", "GP", "SPP",
                       "AMAC"});
@@ -59,11 +62,15 @@ int Run(int argc, char** argv) {
     const Relation probe = MakeForeignKeyRelation(n, n, 212);
     std::vector<std::string> row{std::to_string(log2),
                                  std::to_string(tree.height())};
+    SequentialOracle oracle;
     for (ExecPolicy policy : kPaperPolicies) {
-      const uint64_t cycles =
+      const Measured m =
           Measure(tree, probe, policy, args.inflight, args.reps);
+      ok = oracle.Check("2^" + std::to_string(log2), policy,
+                        m.sink.matches(), m.sink.checksum()) &&
+           ok;
       row.push_back(TablePrinter::Fmt(
-          static_cast<double>(cycles) / static_cast<double>(n), 1));
+          static_cast<double>(m.cycles) / static_cast<double>(n), 1));
     }
     table.AddRow(row);
   }
@@ -73,7 +80,7 @@ int Run(int argc, char** argv) {
       "AMAC's fig10 advantage (no wasted stages, no bailouts) — evidence "
       "that AMAC's edge on the BST is its irregularity handling, as the "
       "paper argues.\n");
-  return 0;
+  return ok ? 0 : 1;
 }
 
 }  // namespace

@@ -88,9 +88,9 @@ int Run(int argc, char** argv) {
         };
         std::vector<PaddedSink> sinks(threads);
         const RunStats stats =
-            par_exec.Run(FromOp(walkers, [&](uint32_t tid) {
+            par_exec.RunOp(walkers, [&](uint32_t tid) {
               return RandomWalkOp(graph, hops, 7, sinks[tid].sink);
-            }));
+            });
         par_best = std::min(par_best, stats.cycles);
       }
       par_row.push_back(

@@ -231,12 +231,11 @@ CellResult RunMixCell(const std::vector<TraceOp>& trace,
       const uint64_t len =
           q + 1 == kQueries ? trace.size() - begin : per_query;
       const TraceOp* segment = trace.data() + begin;
-      tickets.push_back(Submit(
-          sched,
-          Plan::FromOp(len,
-                       [&table, segment, &counters](uint32_t) {
-                         return YcsbOp(table, segment, &counters);
-                       }),
+      tickets.push_back(sched.SubmitOp(
+          len,
+          [&table, segment, &counters](uint32_t) {
+            return YcsbOp(table, segment, &counters);
+          },
           options));
     }
     for (const QueryTicket& t : tickets) {
@@ -324,19 +323,16 @@ int RunChurn(uint64_t num_keys, uint32_t workers, JsonWriter* json) {
     for (uint64_t q = 0; q < kQueries; ++q) {
       const int64_t* kp = keys.data() + q * stripe;
       const int64_t* pp = payloads.data() + q * stripe;
-      tickets.push_back(Submit(
-          sched,
-          Plan::FromOp(
-              stripe,
-              [&table, kp, pp](uint32_t) { return UpsertOp(table, kp, pp); }),
+      tickets.push_back(sched.SubmitOp(
+          stripe,
+          [&table, kp, pp](uint32_t) { return UpsertOp(table, kp, pp); },
           options));
-      tickets.push_back(Submit(
-          sched,
-          Plan::FromOp(stripe,
-                       [&slist, &epochs, kp, pp, q](uint32_t slot) {
-                         return SkipInsertOp(slist, &epochs, kp, pp,
-                                             /*seed=*/q * 31 + slot + 1);
-                       }),
+      tickets.push_back(sched.SubmitOp(
+          stripe,
+          [&slist, &epochs, kp, pp, q](uint32_t slot) {
+            return SkipInsertOp(slist, &epochs, kp, pp,
+                                /*seed=*/q * 31 + slot + 1);
+          },
           options));
     }
     for (const QueryTicket& t : tickets) (void)sched.Wait(t);
@@ -345,17 +341,14 @@ int RunChurn(uint64_t num_keys, uint32_t workers, JsonWriter* json) {
       const int64_t* kp = odd_keys.data() + q * odd_stripe;
       const uint64_t len =
           q + 1 == kQueries ? odd_keys.size() - q * odd_stripe : odd_stripe;
-      tickets.push_back(Submit(
-          sched,
-          Plan::FromOp(len,
-                       [&table, kp](uint32_t) { return EraseOp(table, kp); }),
+      tickets.push_back(sched.SubmitOp(
+          len, [&table, kp](uint32_t) { return EraseOp(table, kp); },
           options));
-      tickets.push_back(Submit(
-          sched,
-          Plan::FromOp(len,
-                       [&slist, &epochs, kp](uint32_t) {
-                         return SkipEraseOp(slist, &epochs, kp);
-                       }),
+      tickets.push_back(sched.SubmitOp(
+          len,
+          [&slist, &epochs, kp](uint32_t) {
+            return SkipEraseOp(slist, &epochs, kp);
+          },
           options));
     }
     for (const QueryTicket& t : tickets) (void)sched.Wait(t);
@@ -466,12 +459,11 @@ int RunOpenLoop(const std::vector<TraceOp>& trace, uint64_t num_keys,
     report = LoadGenerator::Run(gopt, [&](uint64_t index, const TenantMix&) {
       const TraceOp* segment =
           trace.data() + (index * kOpsPerQuery) % max_begin;
-      tickets.push_back(Submit(
-          sched,
-          Plan::FromOp(kOpsPerQuery,
-                       [&table, segment, &counters](uint32_t) {
-                         return YcsbOp(table, segment, &counters);
-                       }),
+      tickets.push_back(sched.SubmitOp(
+          kOpsPerQuery,
+          [&table, segment, &counters](uint32_t) {
+            return YcsbOp(table, segment, &counters);
+          },
           options));
     });
     for (const QueryTicket& t : tickets) {

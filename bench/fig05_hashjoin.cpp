@@ -77,7 +77,7 @@ bool RunOne(const char* title, uint64_t r_size, uint64_t s_size,
     std::vector<std::string> build_row{SkewLabel(zr, zs)};
     std::vector<std::string> probe_row{SkewLabel(zr, zs)};
     std::vector<std::string> total_row{SkewLabel(zr, zs)};
-    uint64_t oracle_matches = 0, oracle_checksum = 0;
+    SequentialOracle oracle;
     double best_scalar_probe = 0;
     for (ExecPolicy policy : kFig5Policies) {
       // NPO layout: ~1 chain node in the uniform case (stages = 1).
@@ -87,20 +87,9 @@ bool RunOne(const char* title, uint64_t r_size, uint64_t s_size,
       // (out[idx] holds one result per probe tuple).
       const JoinResult result =
           MeasureJoin(exec, prepared, JoinOptions{}, args.reps);
-      if (policy == ExecPolicy::kSequential) {
-        oracle_matches = result.matches();
-        oracle_checksum = result.checksum();
-      } else if (result.matches() != oracle_matches ||
-                 result.checksum() != oracle_checksum) {
-        std::printf("ERROR: %s diverges from the sequential oracle at %s "
-                    "(matches %llu vs %llu, checksum %llx vs %llx)\n",
-                    ExecPolicyName(policy), SkewLabel(zr, zs).c_str(),
-                    static_cast<unsigned long long>(result.matches()),
-                    static_cast<unsigned long long>(oracle_matches),
-                    static_cast<unsigned long long>(result.checksum()),
-                    static_cast<unsigned long long>(oracle_checksum));
-        ok = false;
-      }
+      ok = oracle.Check(std::string(title) + " " + SkewLabel(zr, zs), policy,
+                        result.matches(), result.checksum()) &&
+           ok;
       const double out = static_cast<double>(
           result.matches() ? result.matches() : result.probe.inputs);
       const double probe_cpo =

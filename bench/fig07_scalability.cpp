@@ -90,10 +90,10 @@ void TeamCostSection(const BenchArgs& args) {
     for (uint32_t rep = 0; rep < reps; ++rep) {
       std::vector<CountChecksumSink> sinks(threads);
       const RunStats run =
-          exec.Run(FromOp(prepared.s.size(), [&](uint32_t tid) {
+          exec.RunOp(prepared.s.size(), [&](uint32_t tid) {
             return ProbeOp<true, CountChecksumSink>(*prepared.table,
                                                     prepared.s, sinks[tid]);
-          }));
+          });
       pooled = std::min(pooled, run.dispatch_seconds - run.seconds);
       region = std::min(region, run.seconds);
     }

@@ -1,6 +1,10 @@
 // Figure 9: group-by cycles per output tuple for a small (2^17-class) and a
 // big (2^27-class) input relation, under uniform, Zipf(0.5) and Zipf(1)
 // key distributions, with all six aggregate functions applied per match.
+// Every column runs the one GroupByOp; Baseline is its kSequential
+// schedule, which issues no prefetches.  Every policy's group count and
+// table checksum are checked against the Baseline column's (nonzero exit
+// on divergence).
 #include <cstdio>
 #include <vector>
 
@@ -20,7 +24,8 @@ Relation MakeInput(uint64_t tuples, double theta, uint64_t seed) {
   return MakeZipfRelation(tuples, tuples / 3, theta, seed);
 }
 
-void RunOne(const char* title, uint64_t tuples, const BenchArgs& args) {
+bool RunOne(const char* title, uint64_t tuples, const BenchArgs& args) {
+  bool ok = true;
   const double kThetas[] = {0.0, 0.5, 1.0};
   TablePrinter table(std::string(title) + " - cycles per input tuple",
                      {"skew", "Baseline", "GP", "SPP", "AMAC", "groups"});
@@ -33,6 +38,7 @@ void RunOne(const char* title, uint64_t tuples, const BenchArgs& args) {
         theta == 0.0 ? "uniform" : ("Zipf(" + TablePrinter::Fmt(theta, 1) +
                                     ")")};
     uint64_t groups = 0;
+    SequentialOracle oracle;
     for (ExecPolicy policy : kPaperPolicies) {
       exec.set_policy(policy);
       RunStats best;
@@ -41,6 +47,9 @@ void RunOne(const char* title, uint64_t tuples, const BenchArgs& args) {
         const RunStats run = RunGroupBy(exec, input, &agg);
         if (rep == 0 || run.cycles < best.cycles) best = run;
       }
+      ok = oracle.Check(std::string(title) + " " + row[0], policy,
+                        best.outputs, best.checksum) &&
+           ok;
       groups = best.outputs;
       row.push_back(TablePrinter::Fmt(best.CyclesPerInput(), 1));
     }
@@ -48,6 +57,7 @@ void RunOne(const char* title, uint64_t tuples, const BenchArgs& args) {
     table.AddRow(row);
   }
   table.Print();
+  return ok;
 }
 
 int Run(int argc, char** argv) {
@@ -61,13 +71,13 @@ int Run(int argc, char** argv) {
               "six aggregates (count/sum/min/max/avg/sumsq) applied per "
               "match; latch per bucket");
 
-  RunOne("Fig 9 small input (2^17-class)",
-         uint64_t{1} << args.flags.GetInt("small_scale_log2"), args);
-  RunOne("Fig 9 big input (2^27-class)", args.scale, args);
+  bool ok = RunOne("Fig 9 small input (2^17-class)",
+                   uint64_t{1} << args.flags.GetInt("small_scale_log2"), args);
+  ok = RunOne("Fig 9 big input (2^27-class)", args.scale, args) && ok;
   std::printf(
       "expected shape: small+skewed - GP/SPP at or below Baseline, AMAC "
       "~1.6x better; big - all prefetchers win ~2-2.6x, AMAC best.\n");
-  return 0;
+  return ok ? 0 : 1;
 }
 
 }  // namespace

@@ -1,16 +1,15 @@
 // Figure 10: BST search cycles per output tuple vs tree size (the paper
 // sweeps 2^15..2^29; default here sweeps up to the --scale_log2 cap).
-// The scheduled engines dispatch through the unified runtime (one
-// BstSearchOp, three policies); Baseline stays the hand-written
-// no-prefetch chase that anchors the paper's speedup ratios.
+// Every column is the one BstSearchOp dispatched through the unified
+// runtime; Baseline is its kSequential schedule, which issues no
+// prefetches.  Every policy's matches and checksum are checked against
+// the Baseline column's (nonzero exit on divergence).
 #include <algorithm>
 #include <cstdio>
 #include <vector>
 
 #include "bench_util.h"
 #include "bst/bst.h"
-#include "bst/bst_search.h"
-#include "common/cycle_timer.h"
 #include "common/table_printer.h"
 #include "core/ops.h"
 #include "core/scheduler.h"
@@ -19,25 +18,23 @@
 namespace amac::bench {
 namespace {
 
-uint64_t MeasureBst(Executor& exec, const BinarySearchTree& tree,
+/// Best-of-reps cycles of one policy, plus the last rep's sink.
+struct Measured {
+  uint64_t cycles = UINT64_MAX;
+  CountChecksumSink sink;
+};
+
+Measured MeasureBst(Executor& exec, const BinarySearchTree& tree,
                     const Relation& probe, ExecPolicy policy,
                     uint32_t reps) {
-  uint64_t best = UINT64_MAX;
+  Measured best;
+  exec.set_policy(policy);
   for (uint32_t rep = 0; rep < std::max(1u, reps); ++rep) {
-    CountChecksumSink sink;
-    if (policy == ExecPolicy::kSequential) {
-      // The paper's baseline is a plain pointer chase with no prefetches;
-      // keep the hand kernel so the speedup ratios stay comparable.
-      CycleTimer timer;
-      BstSearchBaseline(tree, probe, 0, probe.size(), sink);
-      best = std::min(best, timer.Elapsed());
-    } else {
-      exec.set_policy(policy);
-      const RunStats run = exec.Run(FromOp(probe.size(), [&](uint32_t) {
-        return BstSearchOp<CountChecksumSink>(tree, probe, sink);
-      }));
-      best = std::min(best, run.cycles);
-    }
+    best.sink = CountChecksumSink{};
+    const RunStats run = exec.RunOp(probe.size(), [&](uint32_t) {
+      return BstSearchOp<CountChecksumSink>(tree, probe, best.sink);
+    });
+    best.cycles = std::min(best.cycles, run.cycles);
   }
   return best;
 }
@@ -73,6 +70,7 @@ int Run(int argc, char** argv) {
       ExecPolicy::kSequential,        ExecPolicy::kGroupPrefetch,
       ExecPolicy::kSoftwarePipelined, ExecPolicy::kAmac,
       ExecPolicy::kVectorized,        ExecPolicy::kVectorizedAmac};
+  bool ok = true;
   TablePrinter table("Fig 10: BST search cycles per output tuple",
                      {"tree size (log2)", "avg depth", "Baseline", "GP",
                       "SPP", "AMAC", "Vectorized", "VecAMAC"});
@@ -84,11 +82,14 @@ int Run(int argc, char** argv) {
     const BstStats stats = tree.ComputeStats();
     std::vector<std::string> row{std::to_string(log2),
                                  TablePrinter::Fmt(stats.avg_depth, 1)};
+    SequentialOracle oracle;
     for (ExecPolicy policy : kFig10Policies) {
-      const uint64_t cycles = MeasureBst(exec, tree, probe, policy,
-                                         args.reps);
+      const Measured m = MeasureBst(exec, tree, probe, policy, args.reps);
+      ok = oracle.Check("2^" + std::to_string(log2), policy,
+                        m.sink.matches(), m.sink.checksum()) &&
+           ok;
       row.push_back(TablePrinter::Fmt(
-          static_cast<double>(cycles) / static_cast<double>(n), 1));
+          static_cast<double>(m.cycles) / static_cast<double>(n), 1));
     }
     table.AddRow(row);
   }
@@ -96,7 +97,7 @@ int Run(int argc, char** argv) {
   std::printf(
       "expected shape: prefetcher advantage grows with tree height; AMAC > "
       "GP > SPP (paper: 2.8x / 2.1x / 1.8x geomean, AMAC max 4.45x).\n");
-  return 0;
+  return ok ? 0 : 1;
 }
 
 }  // namespace

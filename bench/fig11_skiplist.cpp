@@ -1,5 +1,9 @@
 // Figure 11: skip list search and insert cycles per output tuple across
-// list sizes (paper: 2^16, 2^21, 2^25 elements).
+// list sizes (paper: 2^16, 2^21, 2^25 elements).  Every column runs the
+// generic SkipSearchOp / SkipInsertOp; Baseline is their kSequential
+// schedule, which issues no prefetches.  Every policy's search matches and
+// checksum, and its inserted count and list checksum, are checked against
+// the Baseline column's (nonzero exit on divergence).
 #include <algorithm>
 #include <cstdio>
 #include <vector>
@@ -43,8 +47,10 @@ int Run(int argc, char** argv) {
       "Fig 11 insert: cycles per output tuple",
       {"elements (log2)", "Baseline", "GP", "SPP", "AMAC", "VecAMAC"});
 
+  bool ok = true;
   for (int log2 : sizes) {
     const uint64_t n = uint64_t{1} << log2;
+    const std::string where = "2^" + std::to_string(log2);
     const Relation rel = MakeDenseUniqueRelation(n, 29);
     const Relation probe = MakeForeignKeyRelation(n, n, 30);
 
@@ -60,6 +66,8 @@ int Run(int argc, char** argv) {
         ExecPolicy::kSequential,        ExecPolicy::kGroupPrefetch,
         ExecPolicy::kSoftwarePipelined, ExecPolicy::kAmac,
         ExecPolicy::kVectorizedAmac};
+    SequentialOracle search_oracle;
+    SequentialOracle insert_oracle;
     for (ExecPolicy policy : kFig11Policies) {
       exec.set_policy(policy);
       RunStats best;
@@ -67,6 +75,9 @@ int Run(int argc, char** argv) {
         const RunStats run = RunSkipListSearch(exec, list, probe);
         if (rep == 0 || run.cycles < best.cycles) best = run;
       }
+      ok = search_oracle.Check(where + " search", policy, best.outputs,
+                               best.checksum) &&
+           ok;
       search_row.push_back(TablePrinter::Fmt(best.CyclesPerInput(), 1));
 
       // Insert: build a fresh list from scratch per measurement.
@@ -78,6 +89,9 @@ int Run(int argc, char** argv) {
         if (rep == 0 || run.cycles < best_insert.cycles) {
           best_insert = run;
         }
+        ok = insert_oracle.Check(where + " insert", policy, run.outputs,
+                                 fresh.Checksum()) &&
+             ok;
       }
       insert_row.push_back(
           TablePrinter::Fmt(best_insert.CyclesPerInput(), 1));
@@ -91,7 +105,7 @@ int Run(int argc, char** argv) {
       "expected shape: search - AMAC ~1.9x avg over Baseline, GP/SPP only "
       "~1.15-1.2x (per-level irregularity); insert - gains compressed (CPU-"
       "bound splice): AMAC ~1.4x, GP/SPP ~1.1-1.2x.\n");
-  return 0;
+  return ok ? 0 : 1;
 }
 
 }  // namespace

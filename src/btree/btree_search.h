@@ -1,12 +1,11 @@
-// B+-tree search helpers and the no-prefetch Baseline.
+// B+-tree search helpers.
 //
 // One stage = one node visit (four cache lines prefetched together).  The
 // tree is balanced, so — unlike the BST and skip list — every lookup needs
 // exactly `height` stages: the *regular* regime where the paper expects
 // GP/SPP to do well.  Comparing ext_btree against fig10_bst isolates how
 // much of AMAC's advantage comes from irregularity alone.  Every schedule
-// runs the generic BTreeSearchOp (btree/btree_ops.h); BTreeSearchBaseline
-// stays as the sequential oracle and ext_btree's Baseline column.
+// runs the generic BTreeSearchOp (btree/btree_ops.h).
 #pragma once
 
 #include <cstdint>
@@ -15,7 +14,6 @@
 #include "common/macros.h"
 #include "common/prefetch.h"
 #include "common/simd.h"
-#include "relation/relation.h"
 
 namespace amac {
 
@@ -60,17 +58,6 @@ inline bool VisitBTreeNodeSimd(const BTreeNode* node, int64_t key,
     sink.Emit(rid, node->leaf.payloads[i]);
   }
   return true;
-}
-
-template <typename Sink>
-void BTreeSearchBaseline(const BTree& tree, const Relation& probe,
-                         uint64_t begin, uint64_t end, Sink& sink) {
-  for (uint64_t i = begin; i < end; ++i) {
-    const int64_t key = probe[i].key;
-    const BTreeNode* node = tree.root();
-    const BTreeNode* next = nullptr;
-    while (!VisitBTreeNode(node, key, i, sink, &next)) node = next;
-  }
 }
 
 }  // namespace amac

@@ -27,9 +27,11 @@
 //
 // The engine owns no memory semantics: operations issue their own
 // prefetches (common/prefetch.h) and manage their own latches, exactly as
-// a hand-written kernel would.  Tests check every schedule against the
-// no-prefetch Baseline oracles; the ablation bench measures the abstraction
-// cost against the hand-written Listing-1 AMAC probe.
+// a hand-written kernel would.  The one exception is RunSequential, which
+// switches the op's prefetches off (NoPrefetchScope) so it is the paper's
+// plain Baseline loop.  Tests check every schedule against no-prefetch
+// oracle loops; the ablation bench measures the abstraction cost against
+// the hand-written Listing-1 AMAC probe and Baseline loops.
 #pragma once
 
 #include <algorithm>
@@ -37,6 +39,7 @@
 #include <vector>
 
 #include "common/macros.h"
+#include "common/prefetch.h"
 
 namespace amac {
 
@@ -265,10 +268,13 @@ EngineStats RunSoftwarePipelined(Op& op, uint64_t num_inputs,
   return stats;
 }
 
-/// Sequential schedule (the no-prefetch baseline expressed over the same
-/// operation; useful for correctness cross-checks).
+/// Sequential schedule: the paper's no-prefetch Baseline expressed over the
+/// same operation.  Each lookup runs to completion before the next starts,
+/// and the op's prefetches are switched off for the run, since nothing
+/// else runs while they would land.
 template <typename Op>
 EngineStats RunSequential(Op& op, uint64_t num_inputs) {
+  NoPrefetchScope no_prefetch;
   EngineStats stats;
   stats.lookups = num_inputs;
   typename Op::State state;

@@ -50,7 +50,7 @@ class BstLookupStage {
       emit(Tuple{st.key, node->payload});
       return StepStatus::kDone;
     }
-    const BstNode* child = st.key < node->key ? node->left : node->right;
+    const BstNode* child = BstChild(node, st.key);
     if (child == nullptr) return StepStatus::kDone;
     Prefetch(child);
     st.ptr = child;

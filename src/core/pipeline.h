@@ -342,32 +342,6 @@ Pipeline<std::decay_t<Source>> From(Source&& source) {
                                         std::tuple<>{});
 }
 
-/// Degenerate pipeline wrapping an existing engine Operation (the
-/// core/engine.h concept).  Executor::Run dispatches it exactly as the free
-/// Run(policy, params, op, n) would, so engine counters are
-/// identical to the free-function path — pinned by the pipeline property
-/// tests.  `make_op(tid)` builds the per-thread operation.
-template <typename OpFactory>
-class OpPipeline {
- public:
-  OpPipeline(uint64_t num_inputs, OpFactory make_op)
-      : num_inputs_(num_inputs), make_op_(std::move(make_op)) {}
-
-  uint64_t size() const { return num_inputs_; }
-  const OpFactory& factory() const { return make_op_; }
-
- private:
-  uint64_t num_inputs_;
-  OpFactory make_op_;
-};
-
-template <typename OpFactory>
-OpPipeline<std::decay_t<OpFactory>> FromOp(uint64_t num_inputs,
-                                           OpFactory&& make_op) {
-  return OpPipeline<std::decay_t<OpFactory>>(
-      num_inputs, std::forward<OpFactory>(make_op));
-}
-
 // ---------------------------------------------------------------------------
 // Executor
 // ---------------------------------------------------------------------------
@@ -395,10 +369,10 @@ struct ExecConfig {
 };
 
 /// Owns the execution policy and a private QueryScheduler, of which it is
-/// the trivial one-query client: every workload — fused pipeline or single
-/// operation — enters the runtime through Run(), which submits one query
+/// the trivial one-query client: every workload — a fused pipeline through
+/// Run(), a single engine operation through RunOp() — submits one query
 /// and waits for it, coming back as one RunStats.  The scheduler's
-/// ThreadPool persists across Run() calls, so repeated phases (bench reps,
+/// ThreadPool persists across runs, so repeated phases (bench reps,
 /// query sequences) pay thread spawn once.  Policy and tuning can be
 /// changed between runs; the team size is fixed at construction.  To run
 /// MANY queries concurrently on one team, use a QueryScheduler directly
@@ -437,18 +411,13 @@ class Executor {
     return stats;
   }
 
-  /// Run a wrapped single-operation pipeline (FromOp).
-  template <typename OpFactory>
-  RunStats Run(const OpPipeline<OpFactory>& pipeline) {
-    return RunOp(pipeline.size(), pipeline.factory());
-  }
-
   /// Run a declarative plan (plan/plan.h): enumerate its physical shapes,
   /// choose one by cost, execute it.  Defined in plan/plan.cpp; equivalent
   /// to RunPlan(*this, plan).run.
   RunStats Run(const Plan& plan);
 
-  /// Low-level entry: run `make_op(tid)` instances over [0, num_inputs).
+  /// Run any engine Operation (core/engine.h): `make_op(tid)` instances
+  /// over [0, num_inputs).
   /// Single-threaded executors run ONE engine over the whole range (no
   /// morselization), so engine counters — including GP/SPP window noops —
   /// equal the free Run(policy, params, op, n) path exactly.
@@ -498,25 +467,6 @@ class Executor {
   QueryScheduler scheduler_;
 };
 
-/// Runs `fn(part, range)` over a static contiguous split of [0, num_inputs)
-/// into one part per thread of `exec` (ForRanges; inline with one thread),
-/// timed around the whole dispatch.  The drivers' kSequential paths run
-/// their no-prefetch Baseline loops through it: no engine schedule is a
-/// plain loop without prefetches.
-template <typename Fn>
-RunStats RunPartitioned(Executor& exec, uint64_t num_inputs, Fn&& fn) {
-  RunStats run;
-  run.inputs = num_inputs;
-  run.threads = exec.pool().size();
-  WallTimer wall;
-  CycleTimer cycles;
-  ForRanges(&exec.pool(), num_inputs, fn);
-  run.cycles = cycles.Elapsed();
-  run.seconds = wall.ElapsedSeconds();
-  run.dispatch_seconds = run.seconds;
-  return run;
-}
-
 // ---------------------------------------------------------------------------
 // Pipelines as scheduler queries
 // ---------------------------------------------------------------------------
@@ -543,15 +493,6 @@ QueryTicket Submit(QueryScheduler& scheduler,
         run->outputs = total.rows();
         run->checksum = total.checksum();
       });
-}
-
-/// Submit a wrapped single-operation pipeline (FromOp) as a concurrent
-/// query.  The factory's sinks must be sized for scheduler.SlotCount.
-template <typename OpFactory>
-QueryTicket Submit(QueryScheduler& scheduler,
-                   const OpPipeline<OpFactory>& pipeline,
-                   const QueryOptions& options = {}) {
-  return scheduler.SubmitOp(pipeline.size(), pipeline.factory(), options);
 }
 
 }  // namespace amac

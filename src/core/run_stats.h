@@ -158,8 +158,8 @@ struct RunStats {
   uint32_t threads = 0;
   uint64_t cycles = 0;    ///< execution span (see seconds), in TSC ticks
   /// Wall time of the measured execution region: the whole dispatch on the
-  /// static-range path (RunPartitioned, the partitioned build), first-
-  /// morsel-to-completion on the scheduler path.
+  /// static-range path (the partitioned build), first-morsel-to-completion
+  /// on the scheduler path.
   double seconds = 0;
   /// Wall time of the whole run including team dispatch (static-range
   /// path: equal to `seconds`) or submit-to-completion latency (scheduler

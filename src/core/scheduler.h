@@ -202,9 +202,10 @@ EngineStats Run(ExecPolicy policy, const SchedulerParams& params, Op& op,
     case ExecPolicy::kVectorized:
       // Ops without a vector interface run the scheduling-equivalent
       // scalar schedule: batch SIMD with no interleaving degenerates to
-      // the sequential order (identical results, no SIMD speedup).  The
-      // fallback is counted so downstream JSON never implies vector
-      // execution that did not happen.
+      // the sequential order (identical results, no SIMD speedup, and no
+      // prefetches, as under kSequential).  The fallback is counted so
+      // downstream JSON never implies vector execution that did not
+      // happen.
       if constexpr (kHasVectorExec<Op>) {
         return RunVectorized(op, num_inputs);
       } else {

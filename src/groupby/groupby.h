@@ -2,9 +2,9 @@
 // through the unified runtime, single- or multi-threaded.
 //
 // The entry point takes an `Executor` (core/pipeline.h) and drives the
-// generic GroupByOp stage machine (morsel-driven when multi-threaded);
-// kSequential runs the no-prefetch GroupByBaseline loop instead.  The
-// result is the runtime's unified RunStats.
+// generic GroupByOp stage machine under every policy (morsel-driven when
+// multi-threaded); kSequential runs it with prefetches off, which is the
+// paper's Baseline.  The result is the runtime's unified RunStats.
 #pragma once
 
 #include <cstdint>

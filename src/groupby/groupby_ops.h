@@ -19,11 +19,32 @@
 #include "core/engine.h"
 #include "core/pipeline.h"
 #include "groupby/agg_table.h"
-#include "groupby/groupby_kernels.h"
 #include "groupby/vec_groupby.h"
 #include "relation/relation.h"
 
 namespace amac {
+
+namespace detail {
+
+template <bool kSync>
+inline bool GroupTryLatch(GroupNode* head) {
+  if constexpr (kSync) {
+    return head->latch.TryAcquire();
+  } else {
+    return head->latch.TryAcquireUnsync();
+  }
+}
+
+template <bool kSync>
+inline void GroupUnlatch(GroupNode* head) {
+  if constexpr (kSync) {
+    head->latch.Release();
+  } else {
+    head->latch.ReleaseUnsync();
+  }
+}
+
+}  // namespace detail
 
 template <bool kSync>
 class GroupByOp {

@@ -9,9 +9,9 @@
 // and it sits on its own cache line, so those writes never invalidate the
 // line holding the owning table's bucket pointer and mask, which every
 // insert reads.  A cursor belongs to one execution slot's operation (the
-// build and group-by ops keep one as a member, the Baseline loops a local
-// one, ChainedHashTable::InsertUnsync the table's own), not to a thread: a
-// query's op migrates across workers between morsels, as epoch
+// build and group-by ops keep one as a member, the tests' oracle loops a
+// local one, ChainedHashTable::InsertUnsync the table's own), not to a
+// thread: a query's op migrates across workers between morsels, as epoch
 // participants do (epoch/epoch.h).  Alloc() without a cursor claims a
 // single node.
 //

@@ -83,14 +83,14 @@ RunStats BuildPhase(Executor& exec, const Relation& r,
                     ChainedHashTable* table, PlanBuildMode mode) {
   const uint32_t threads = exec.num_threads();
   if (threads == 1) {
-    return exec.Run(FromOp(r.size(), [&](uint32_t) {
+    return exec.RunOp(r.size(), [&](uint32_t) {
       return BuildOp<false>(*table, r);
-    }));
+    });
   }
   if (mode == PlanBuildMode::kChained) {
-    return exec.Run(FromOp(r.size(), [&](uint32_t) {
+    return exec.RunOp(r.size(), [&](uint32_t) {
       return BuildOp<true>(*table, r);
-    }));
+    });
   }
   return BuildParallel(exec, r, table);
 }
@@ -101,13 +101,13 @@ RunStats ProbePhase(Executor& exec, const ChainedHashTable& table,
   std::vector<CountChecksumSink> sinks(threads);
   RunStats run;
   if (early_exit) {
-    run = exec.Run(FromOp(s.size(), [&](uint32_t tid) {
+    run = exec.RunOp(s.size(), [&](uint32_t tid) {
       return ProbeOp<true, CountChecksumSink>(table, s, sinks[tid]);
-    }));
+    });
   } else {
-    run = exec.Run(FromOp(s.size(), [&](uint32_t tid) {
+    run = exec.RunOp(s.size(), [&](uint32_t tid) {
       return ProbeOp<false, CountChecksumSink>(table, s, sinks[tid]);
-    }));
+    });
   }
   CountChecksumSink total;
   for (const auto& sink : sinks) total.Merge(sink);

@@ -2,8 +2,8 @@
 //
 // These are the production stage machines the join driver (hash_join.cpp)
 // feeds to Run(ExecPolicy, ...) and the Executor — the same lookup logic as
-// the Baseline loops in probe_kernels.h / build_kernels.h (VisitNode,
-// ChainedHashTable::InsertLocked), expressed once against the
+// the Baseline probe loop in probe_kernels.h (VisitNode) and the table's
+// own ChainedHashTable::InsertLocked, expressed once against the
 // core/engine.h Operation concept so every schedule (sequential, GP, SPP,
 // AMAC, coroutine) and any thread count run them without join-specific
 // scheduling code.
@@ -20,7 +20,6 @@
 #include "core/pipeline.h"
 #include "hashtable/chained_table.h"
 #include "hashtable/vec_probe.h"
-#include "join/build_kernels.h"
 #include "relation/relation.h"
 
 namespace amac {

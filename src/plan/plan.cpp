@@ -45,7 +45,6 @@ const char* PlanNodeKindName(PlanNodeKind kind) {
   switch (kind) {
     case PlanNodeKind::kScan: return "scan";
     case PlanNodeKind::kWalks: return "walks";
-    case PlanNodeKind::kCustom: return "custom";
     case PlanNodeKind::kFilter: return "filter";
     case PlanNodeKind::kMap: return "map";
     case PlanNodeKind::kHashJoin: return "hash-join";
@@ -86,7 +85,6 @@ Plan Plan::Walks(const CsrGraph& graph, uint64_t num_walkers, uint32_t hops,
 
 Plan Plan::Append(PlanNode node) const {
   AMAC_CHECK_MSG(!nodes_.empty(), "plan: add a source first");
-  AMAC_CHECK_MSG(!is_custom(), "plan: custom-op plans take no stages");
   AMAC_CHECK_MSG(nodes_.back().kind != PlanNodeKind::kGroupBy,
                  "plan: GroupBy is terminal");
   Plan out = *this;
@@ -202,7 +200,6 @@ struct Profile {
 
 Profile Analyze(const Plan& plan) {
   AMAC_CHECK_MSG(!plan.nodes().empty(), "plan: empty");
-  AMAC_CHECK(!plan.is_custom());
   Profile p;
   for (const PlanNode& node : plan.nodes()) {
     AMAC_CHECK_MSG(p.groupby == nullptr, "plan: GroupBy is terminal");
@@ -241,8 +238,6 @@ Profile Analyze(const Plan& plan) {
         AMAC_CHECK_MSG(p.source != nullptr, "plan: add a source first");
         p.groupby = &node;
         break;
-      case PlanNodeKind::kCustom:
-        AMAC_CHECK_MSG(false, "plan: custom nodes cannot chain");
     }
   }
   return p;
@@ -463,9 +458,9 @@ RunStats RunTwoPhase(Executor& exec, const Relation& probe,
   std::vector<MaterializeSink> sinks;
   sinks.reserve(slots);
   for (uint32_t t = 0; t < slots; ++t) sinks.emplace_back(probe.size());
-  RunStats phase1 = exec.Run(FromOp(probe.size(), [&](uint32_t tid) {
+  RunStats phase1 = exec.RunOp(probe.size(), [&](uint32_t tid) {
     return ProbeOp<true, MaterializeSink>(table, probe, sinks[tid]);
-  }));
+  });
   CycleTimer mid_cycles;
   WallTimer mid_wall;
   // Each slot's rows land at its prefix-summed offset, so the slots copy
@@ -711,7 +706,6 @@ WorkloadSignature PlanShapeSignature(const Plan& plan,
 std::vector<PhysicalShape> PlanCompiler::Enumerate(const Plan& plan,
                                                    const PlanOptions& options,
                                                    uint32_t num_threads) {
-  if (plan.is_custom()) return {PhysicalShape{}};
   const Profile p = Analyze(plan);
   if (options.terminal == PlanTerminal::kMatches) {
     // Legacy (rid, payload) accounting is probe-order-specific: exactly
@@ -784,15 +778,6 @@ std::vector<PhysicalShape> PlanCompiler::Enumerate(const Plan& plan,
 PlanResult RunPlan(Executor& exec, const Plan& plan,
                    const PlanOptions& options) {
   PlanResult result;
-  if (plan.is_custom()) {
-    result.run = plan.run_custom()(exec);
-    result.run.plan.active = true;
-    result.run.plan.shape = PlanShape::kFused;
-    result.run.plan.candidates_considered = 1;
-    result.run.plan.measured_cost_cycles =
-        static_cast<double>(result.run.cycles);
-    return result;
-  }
   const Profile p = Analyze(plan);
   const std::vector<PhysicalShape> shapes =
       PlanCompiler::Enumerate(plan, options, exec.num_threads());
@@ -983,7 +968,6 @@ QueryTicket SubmitTail(QueryScheduler& scheduler, const PipelineT& pipeline,
 
 QueryTicket Submit(QueryScheduler& scheduler, const Plan& plan,
                    const QueryOptions& options) {
-  if (plan.is_custom()) return plan.submit_custom()(scheduler, options);
   const Profile p = Analyze(plan);
   AMAC_CHECK_MSG(p.join == nullptr || p.join->kind == PlanNodeKind::kLookup,
                  "Submit(Plan): hash-join plans build state; use RunPlan");

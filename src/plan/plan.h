@@ -53,12 +53,11 @@ class BinarySearchTree;
 class SkipList;
 class CsrGraph;
 
-/// The logical operator vocabulary.  Sources (kScan / kWalks / kCustom)
-/// start a plan; kGroupBy is terminal; everything else chains.
+/// The logical operator vocabulary.  Sources (kScan / kWalks) start a
+/// plan; kGroupBy is terminal; everything else chains.
 enum class PlanNodeKind : uint8_t {
   kScan,        ///< emit every tuple of a relation
   kWalks,       ///< emit every vertex visit of N random walks
-  kCustom,      ///< wrap an existing engine Operation factory
   kFilter,      ///< drop rows failing a predicate
   kMap,         ///< rewrite each row
   kHashJoin,    ///< join against a relation (table built by the plan)
@@ -127,28 +126,6 @@ class Plan {
   static Plan Scan(const Relation& rel);
   static Plan Walks(const CsrGraph& graph, uint64_t num_walkers,
                     uint32_t hops, uint64_t seed);
-  /// Wrap an existing engine-Operation factory (`make_op(slot)`), so
-  /// callers driving hand-built ops (e.g. read-write YCSB ops) enter
-  /// through the same plan API.  Runs/submits exactly as
-  /// Executor::RunOp / QueryScheduler::SubmitOp would; no structural
-  /// alternatives exist.
-  template <typename OpFactory>
-  static Plan FromOp(uint64_t num_inputs, OpFactory make_op) {
-    Plan plan;
-    PlanNode node;
-    node.kind = PlanNodeKind::kCustom;
-    plan.nodes_.push_back(std::move(node));
-    plan.custom_inputs_ = num_inputs;
-    plan.run_custom_ = [num_inputs, make_op](Executor& exec) {
-      return exec.RunOp(num_inputs, make_op);
-    };
-    plan.submit_custom_ = [num_inputs, make_op](
-                              QueryScheduler& scheduler,
-                              const QueryOptions& options) {
-      return scheduler.SubmitOp(num_inputs, make_op, options);
-    };
-    return plan;
-  }
 
   /// ---- chained operators (each returns the extended plan) ------------
   Plan Filter(std::function<bool(const Tuple&)> pred) const;
@@ -166,26 +143,11 @@ class Plan {
   Plan GroupByInto(AggregateTable* table) const;
 
   const std::vector<PlanNode>& nodes() const { return nodes_; }
-  bool is_custom() const {
-    return !nodes_.empty() && nodes_[0].kind == PlanNodeKind::kCustom;
-  }
-  uint64_t custom_inputs() const { return custom_inputs_; }
-  const std::function<RunStats(Executor&)>& run_custom() const {
-    return run_custom_;
-  }
-  const std::function<QueryTicket(QueryScheduler&, const QueryOptions&)>&
-  submit_custom() const {
-    return submit_custom_;
-  }
 
  private:
   Plan Append(PlanNode node) const;
 
   std::vector<PlanNode> nodes_;
-  uint64_t custom_inputs_ = 0;
-  std::function<RunStats(Executor&)> run_custom_;
-  std::function<QueryTicket(QueryScheduler&, const QueryOptions&)>
-      submit_custom_;
 };
 
 /// One physical alternative for a plan: every structural dimension pinned.
@@ -246,7 +208,7 @@ PlanResult RunPlan(Executor& exec, const Plan& plan,
                    const PlanOptions& options = {});
 
 /// Submit a plan to a QueryScheduler as one concurrent query.  Supports
-/// the prebuilt-structure subset (scan/walks/custom sources, filters,
+/// the prebuilt-structure subset (scan/walks sources, filters,
 /// maps, prebuilt-table and index lookups, GroupByInto): serving queries
 /// must not block the submitting thread on a table build, and structural
 /// enumeration needs an Executor — plans that build state run via

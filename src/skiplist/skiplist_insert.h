@@ -1,4 +1,4 @@
-// Skip list insert helpers (paper Table 1 col 5) and the Baseline insert.
+// Skip list insert helpers (paper Table 1 col 5).
 //
 // An insert is a predecessor search (memory-bound, one stage per candidate
 // node) followed by the splice (CPU-bound: random level generation, node
@@ -7,15 +7,11 @@
 // (skiplist/skiplist_write_ops.h), which keeps the predecessor/successor
 // vectors below inside the per-lookup state slot: ~0.5 KB per in-flight
 // lookup, matching §5.4's description of the circular-buffer footprint.
-// SkipInsertBaseline (SkipList::Insert*, spinning per level) stays as the
-// sequential oracle.
 #pragma once
 
 #include <cstdint>
 
 #include "common/prefetch.h"
-#include "common/rng.h"
-#include "relation/relation.h"
 #include "skiplist/skiplist.h"
 #include "skiplist/skiplist_search.h"
 
@@ -72,20 +68,6 @@ inline InsertStep SkipInsertSearchStep(InsertSearch& s, int64_t key) {
       return InsertStep::kParked;
     }
   }
-}
-
-template <bool kSync>
-uint64_t SkipInsertBaseline(SkipList& list, const Relation& input,
-                            uint64_t begin, uint64_t end, uint64_t seed) {
-  Rng rng(seed);
-  uint64_t inserted = 0;
-  for (uint64_t i = begin; i < end; ++i) {
-    const bool ok = kSync ? list.InsertSync(input[i].key, input[i].payload, rng)
-                          : list.InsertUnsync(input[i].key, input[i].payload,
-                                              rng);
-    inserted += ok ? 1 : 0;
-  }
-  return inserted;
 }
 
 }  // namespace amac

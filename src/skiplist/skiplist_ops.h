@@ -23,9 +23,8 @@ RunStats RunSkipListSearch(Executor& exec, const SkipList& list,
 /// Insert every tuple of `input` into `list` (which is typically empty:
 /// the paper's insert workload "builds a skip list from scratch") under
 /// the executor's policy: the generic SkipInsertOp, one per execution slot
-/// seeded `seed + slot`; kSequential runs the Baseline insert loop instead
-/// (one static partition per thread, seeded `seed + tid`).  The returned
-/// RunStats carry inputs = |input| and outputs = new elements.
+/// seeded `seed + slot`.  The returned RunStats carry inputs = |input| and
+/// outputs = new elements.
 RunStats RunSkipListInsert(Executor& exec, SkipList* list,
                            const Relation& input, uint64_t seed = 7);
 

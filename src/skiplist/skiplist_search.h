@@ -1,5 +1,5 @@
 // Skip list search helpers (paper Table 1 col 5 describes insert; search
-// is its prefix without the splice) and the no-prefetch Baseline.
+// is its prefix without the splice).
 //
 // A search stage visits one *candidate node* (one dependent memory access).
 // Level descents that need no new node (null / overshoot candidates) happen
@@ -7,7 +7,7 @@
 // each skip list level terminates after an arbitrary number of node
 // traversals" is precisely the irregularity that hurts GP/SPP here.  Every
 // schedule runs the generic SkipSearchOp (skiplist/skiplist_ops.h) over
-// SkipSearchStep; SkipSearchBaseline stays as the sequential oracle.
+// SkipSearchStep.
 //
 // Tall towers span multiple cache lines, so prefetching a candidate touches
 // both its header line and the line holding the forward pointer at the
@@ -18,7 +18,6 @@
 
 #include "common/macros.h"
 #include "common/prefetch.h"
-#include "relation/relation.h"
 #include "skiplist/skiplist.h"
 
 namespace amac {
@@ -78,15 +77,6 @@ inline bool SkipSearchStep(SkipCursor& c, int64_t key, uint64_t rid,
 inline SkipCursor SkipStartCursor(const SkipList& list) {
   return SkipCursor{list.head(),
                     static_cast<int32_t>(SkipList::kMaxLevel) - 1};
-}
-
-template <typename Sink>
-void SkipSearchBaseline(const SkipList& list, const Relation& probe,
-                        uint64_t begin, uint64_t end, Sink& sink) {
-  for (uint64_t i = begin; i < end; ++i) {
-    const SkipNode* match = list.Find(probe[i].key);
-    if (match != nullptr) sink.Emit(i, match->payload);
-  }
 }
 
 }  // namespace amac

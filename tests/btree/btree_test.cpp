@@ -8,6 +8,7 @@
 #include <map>
 #include <tuple>
 
+#include "baseline_loops.h"
 #include "btree/btree_ops.h"
 #include "btree/btree_search.h"
 #include "core/scheduler.h"

@@ -1,15 +1,22 @@
 // Generic-engine tests: all four schedules over the same operations must
 // produce identical results, the scheduling statistics must reflect each
 // schedule's character, and the latch-retry path (HashBuildOp) must be
-// deadlock-free on every schedule.
+// deadlock-free on every schedule.  The schedule contract: the sequential
+// schedule (and the kVectorized fallback that runs it) issues no
+// prefetches, every other static schedule does, and the switch never
+// outlives the sequential run on its thread.
 #include "core/engine.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <vector>
 
+#include "common/prefetch.h"
 #include "core/ops.h"
+#include "core/pipeline.h"
+#include "core/scheduler.h"
 #include "join/join_ops.h"
 #include "join/probe_kernels.h"
 #include "join/sink.h"
@@ -277,6 +284,153 @@ TEST(EngineStatsTest, StepsPerLookupComputed) {
   EXPECT_DOUBLE_EQ(stats.StepsPerLookup(), 4.5);
   EngineStats empty;
   EXPECT_EQ(empty.StepsPerLookup(), 0.0);
+}
+
+// --- the schedule contract: who issues prefetches --------------------------
+
+/// Counts, for every Start/Step, whether the prefetch it issues is live on
+/// the calling thread.  Counters are shared so per-slot copies on an
+/// Executor team add up.
+struct PrefetchTally {
+  std::atomic<uint64_t> issued{0};
+  std::atomic<uint64_t> suppressed{0};
+};
+
+/// Scalar op: two steps per lookup, one prefetch per Start and Step.
+class PrefetchProbeOp {
+ public:
+  struct State {
+    uint32_t remaining;
+  };
+
+  explicit PrefetchProbeOp(PrefetchTally& tally) : tally_(&tally) {}
+
+  void Start(State& st, uint64_t) {
+    st.remaining = 2;
+    Touch();
+  }
+
+  StepStatus Step(State& st) {
+    Touch();
+    return --st.remaining == 0 ? StepStatus::kDone : StepStatus::kParked;
+  }
+
+ protected:
+  void Touch() {
+    Prefetch(&line_);
+    ++(PrefetchesEnabled() ? tally_->issued : tally_->suppressed);
+  }
+
+ private:
+  PrefetchTally* tally_;
+  uint64_t line_ = 0;
+};
+
+/// The same op with a vector interface, so kVectorized and kVectorizedAmac
+/// run the vector schedules instead of their scalar fallbacks.
+class VecPrefetchProbeOp : public PrefetchProbeOp {
+ public:
+  static constexpr uint32_t kVecLanes = 4;
+  struct VecState {
+    uint32_t remaining[kVecLanes];
+    uint32_t active;
+  };
+
+  using PrefetchProbeOp::PrefetchProbeOp;
+
+  void StartVec(VecState& st, uint64_t, uint32_t n) {
+    st.active = 0;
+    for (uint32_t lane = 0; lane < n; ++lane) RefillLane(st, lane, 0);
+  }
+
+  void RefillLane(VecState& st, uint32_t lane, uint64_t) {
+    st.remaining[lane] = 2;
+    st.active |= 1u << lane;
+    Touch();
+  }
+
+  uint32_t StepVec(VecState& st) {
+    Touch();
+    for (uint32_t lane = 0; lane < kVecLanes; ++lane) {
+      if ((st.active & (1u << lane)) && --st.remaining[lane] == 0) {
+        st.active &= ~(1u << lane);
+      }
+    }
+    return st.active;
+  }
+};
+
+/// Whether `policy` must run `Op` with prefetches off: kSequential always,
+/// and kVectorized when the op has no vector interface (it then runs the
+/// sequential schedule).
+template <typename Op>
+bool RunsWithoutPrefetches(ExecPolicy policy) {
+  return policy == ExecPolicy::kSequential ||
+         (policy == ExecPolicy::kVectorized && !kHasVectorExec<Op>);
+}
+
+template <typename Op>
+void ExpectPrefetchContract() {
+  const SchedulerParams params{4, 2, 0};
+  for (ExecPolicy policy : kAllExecPolicies) {
+    PrefetchTally tally;
+    Op op(tally);
+    Run(policy, params, op, 64);
+    const char* name = ExecPolicyName(policy);
+    if (RunsWithoutPrefetches<Op>(policy)) {
+      EXPECT_EQ(tally.issued.load(), 0u) << name;
+      EXPECT_GT(tally.suppressed.load(), 0u) << name;
+    } else {
+      EXPECT_EQ(tally.suppressed.load(), 0u) << name;
+      EXPECT_GT(tally.issued.load(), 0u) << name;
+    }
+    EXPECT_TRUE(PrefetchesEnabled()) << name << " leaked its setting";
+  }
+}
+
+TEST(ScheduleContractTest, OnlyTheSequentialScheduleSkipsPrefetches) {
+  ExpectPrefetchContract<PrefetchProbeOp>();
+}
+
+TEST(ScheduleContractTest, VectorSchedulesKeepPrefetching) {
+  ExpectPrefetchContract<VecPrefetchProbeOp>();
+}
+
+TEST(ScheduleContractTest, AmacAfterSequentialOnOneThreadPrefetches) {
+  PrefetchTally seq;
+  PrefetchProbeOp seq_op(seq);
+  RunSequential(seq_op, 16);
+  PrefetchTally amac;
+  PrefetchProbeOp amac_op(amac);
+  RunAmac(amac_op, 16, 4);
+  EXPECT_EQ(seq.issued.load(), 0u);
+  EXPECT_EQ(amac.suppressed.load(), 0u);
+  EXPECT_GT(amac.issued.load(), 0u);
+}
+
+TEST(ScheduleContractTest, NestedSequentialRunRestoresTheOuterSetting) {
+  NoPrefetchScope outer;
+  PrefetchTally tally;
+  PrefetchProbeOp op(tally);
+  RunSequential(op, 4);
+  EXPECT_FALSE(PrefetchesEnabled());
+}
+
+TEST(ScheduleContractTest, TeamWorkersHoldTheContractAcrossQueries) {
+  // The same worker threads run a kSequential query and then an AMAC one;
+  // morsels of the first must skip prefetches, morsels of the second must
+  // issue them.
+  Executor exec(ExecConfig{ExecPolicy::kSequential, SchedulerParams{4, 2, 0},
+                           /*num_threads=*/2, /*morsel_size=*/16});
+  PrefetchTally seq;
+  exec.RunOp(256, [&](uint32_t) { return PrefetchProbeOp(seq); });
+  exec.set_policy(ExecPolicy::kAmac);
+  PrefetchTally amac;
+  exec.RunOp(256, [&](uint32_t) { return PrefetchProbeOp(amac); });
+  EXPECT_EQ(seq.issued.load(), 0u);
+  EXPECT_GT(seq.suppressed.load(), 0u);
+  EXPECT_EQ(amac.suppressed.load(), 0u);
+  EXPECT_GT(amac.issued.load(), 0u);
 }
 
 }  // namespace

@@ -9,9 +9,9 @@
 
 #include <vector>
 
+#include "baseline_loops.h"
 #include "graph/csr.h"
 #include "graph/graph_ops.h"
-#include "groupby/groupby_kernels.h"
 #include "groupby/groupby_ops.h"
 #include "join/join_ops.h"
 #include "join/probe_kernels.h"
@@ -37,10 +37,10 @@ TEST(ExecutorParallelTest, JoinProbeMatchesSingleThreadEverywhere) {
       Executor exec(ExecConfig{policy, SchedulerParams{6, 2}, threads, 1024});
       std::vector<CountChecksumSink> sinks(threads);
       const RunStats stats =
-          exec.Run(FromOp(probe.size(), [&](uint32_t tid) {
+          exec.RunOp(probe.size(), [&](uint32_t tid) {
             return ProbeOp<false, CountChecksumSink>(table, probe,
                                                      sinks[tid]);
-          }));
+          });
       CountChecksumSink merged;
       for (const auto& sink : sinks) merged.Merge(sink);
       EXPECT_EQ(merged.matches(), base.matches())
@@ -67,7 +67,7 @@ TEST(ExecutorParallelTest, GroupByMatchesSingleThreadEverywhere) {
   const Relation input = MakeZipfRelation(20000, 1500, 0.8, 313);
 
   AggregateTable base_table(3000, AggregateTable::Options{});
-  GroupByBaseline<false>(input, 0, input.size(), base_table);
+  GroupByBaseline(input, 0, input.size(), base_table);
   const uint64_t base_groups = base_table.CountGroups();
   const uint64_t base_checksum = base_table.Checksum();
 
@@ -75,11 +75,11 @@ TEST(ExecutorParallelTest, GroupByMatchesSingleThreadEverywhere) {
     for (uint32_t threads = 1; threads <= 4; ++threads) {
       Executor exec(ExecConfig{policy, SchedulerParams{6, 2}, threads, 1024});
       AggregateTable table(3000, AggregateTable::Options{});
-      exec.Run(FromOp(input.size(), [&](uint32_t) {
+      exec.RunOp(input.size(), [&](uint32_t) {
         // Synchronized latches: morsels on different threads may collide
         // on a bucket.
         return GroupByOp<true>(table, input);
-      }));
+      });
       EXPECT_EQ(table.CountGroups(), base_groups)
           << ExecPolicyName(policy) << " threads=" << threads;
       EXPECT_EQ(table.Checksum(), base_checksum)
@@ -106,9 +106,9 @@ TEST(ExecutorParallelTest, RandomWalksIdenticalAcrossThreadCounts) {
     Executor exec(ExecConfig{ExecPolicy::kAmac, SchedulerParams{8, 1},
                              threads, 1024});
     std::vector<WalkSink> sinks(threads);
-    exec.Run(FromOp(walkers, [&](uint32_t tid) {
+    exec.RunOp(walkers, [&](uint32_t tid) {
       return RandomWalkOp(graph, 5, 7, sinks[tid]);
-    }));
+    });
     WalkSink merged;
     for (const auto& sink : sinks) merged.Merge(sink);
     EXPECT_EQ(merged.visits(), base.visits()) << "threads=" << threads;
@@ -123,9 +123,9 @@ TEST(ExecutorParallelTest, ZeroInputs) {
     for (uint32_t threads = 1; threads <= 4; ++threads) {
       Executor exec(ExecConfig{policy, SchedulerParams{6, 2}, threads, 0});
       std::vector<CountChecksumSink> sinks(threads);
-      const RunStats stats = exec.Run(FromOp(0, [&](uint32_t tid) {
+      const RunStats stats = exec.RunOp(0, [&](uint32_t tid) {
         return ProbeOp<false, CountChecksumSink>(table, empty, sinks[tid]);
-      }));
+      });
       EXPECT_EQ(stats.engine.lookups, 0u) << ExecPolicyName(policy);
       EXPECT_EQ(stats.morsels, 0u) << ExecPolicyName(policy);
       EXPECT_EQ(stats.outputs, 0u) << ExecPolicyName(policy);

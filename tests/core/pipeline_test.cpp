@@ -1,7 +1,7 @@
 // Pipeline / Executor unit and property tests.
 //
-// The load-bearing property (ISSUE 3): an OpPipeline wrapping a single
-// stage machine must produce IDENTICAL RunStats engine counters to calling
+// The load-bearing property: Executor::RunOp over a single stage machine
+// must produce IDENTICAL RunStats engine counters to calling
 // Run(policy, params, op, n) directly — the Executor adds no scheduling of
 // its own on the single-threaded path.  Plus: fused generic stages
 // (scan/filter/map), the index-lookup stages of every layer, the fused
@@ -28,7 +28,6 @@
 #include "graph/csr.h"
 #include "graph/graph_ops.h"
 #include "groupby/groupby_ops.h"
-#include "join/build_kernels.h"
 #include "join/join_ops.h"
 #include "join/sink.h"
 #include "relation/relation.h"
@@ -47,7 +46,7 @@ void ExpectEngineStatsEqual(const EngineStats& a, const EngineStats& b,
   EXPECT_EQ(a.noops, b.noops) << label;
 }
 
-TEST(OpPipelineTest, SingleOpCountersMatchDirectRun) {
+TEST(RunOpTest, SingleOpCountersMatchDirectRun) {
   const Relation r = MakeDenseUniqueRelation(2048, 11);
   const Relation s = MakeForeignKeyRelation(3000, 2048, 12);
   ChainedHashTable table(r.size(), ChainedHashTable::Options{});
@@ -63,9 +62,9 @@ TEST(OpPipelineTest, SingleOpCountersMatchDirectRun) {
 
         CountChecksumSink exec_sink;
         Executor exec(ExecConfig{policy, params, 1, 0});
-        const RunStats run = exec.Run(FromOp(s.size(), [&](uint32_t) {
+        const RunStats run = exec.RunOp(s.size(), [&](uint32_t) {
           return ProbeOp<true, CountChecksumSink>(table, s, exec_sink);
-        }));
+        });
 
         const std::string label = std::string(ExecPolicyName(policy)) +
                                   " m=" + std::to_string(inflight) +
@@ -80,7 +79,7 @@ TEST(OpPipelineTest, SingleOpCountersMatchDirectRun) {
   }
 }
 
-TEST(OpPipelineTest, SingleOpCountersMatchForRetryingOp) {
+TEST(RunOpTest, SingleOpCountersMatchForRetryingOp) {
   // GroupByOp exercises kRetry (latch conflicts are impossible single
   // threaded, but the counter path must still be identical).
   const Relation input = MakeGroupByInput(500, 3, 21);
@@ -92,9 +91,9 @@ TEST(OpPipelineTest, SingleOpCountersMatchForRetryingOp) {
 
     AggregateTable exec_table(600, AggregateTable::Options{});
     Executor exec(ExecConfig{policy, params, 1, 0});
-    const RunStats run = exec.Run(FromOp(input.size(), [&](uint32_t) {
+    const RunStats run = exec.RunOp(input.size(), [&](uint32_t) {
       return GroupByOp<false>(exec_table, input);
-    }));
+    });
 
     ExpectEngineStatsEqual(run.engine, direct, ExecPolicyName(policy));
     EXPECT_EQ(exec_table.Checksum(), direct_table.Checksum())
@@ -301,9 +300,9 @@ TEST(ExecutorTest, RepeatedRunsAgreeAndReportDispatchTime) {
   uint64_t first_checksum = 0;
   for (int rep = 0; rep < 3; ++rep) {
     std::vector<CountChecksumSink> sinks(exec.num_threads());
-    const RunStats run = exec.Run(FromOp(s.size(), [&](uint32_t tid) {
+    const RunStats run = exec.RunOp(s.size(), [&](uint32_t tid) {
       return ProbeOp<true, CountChecksumSink>(table, s, sinks[tid]);
-    }));
+    });
     CountChecksumSink total;
     for (const auto& sink : sinks) total.Merge(sink);
     if (rep == 0) {

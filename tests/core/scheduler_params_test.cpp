@@ -157,8 +157,8 @@ void ExpectEveryInputExactlyOnce(uint64_t num_inputs, uint32_t threads,
   for (uint64_t i = 0; i < num_inputs; ++i) slots[i] = 0;
   Executor exec(ExecConfig{policy, SchedulerParams{inflight, 2, 0}, threads,
                            morsel_size});
-  const RunStats stats = exec.Run(
-      FromOp(num_inputs, [&](uint32_t) { return MarkOp(slots.get()); }));
+  const RunStats stats =
+      exec.RunOp(num_inputs, [&](uint32_t) { return MarkOp(slots.get()); });
   EXPECT_EQ(stats.engine.lookups, num_inputs)
       << ExecPolicyName(policy) << " threads=" << threads
       << " inflight=" << inflight;

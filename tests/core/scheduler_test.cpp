@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "baseline_loops.h"
 #include "bst/bst.h"
 #include "bst/bst_search.h"
 #include "btree/btree.h"
@@ -20,9 +21,7 @@
 #include "join/join_ops.h"
 #include "graph/csr.h"
 #include "graph/graph_ops.h"
-#include "groupby/groupby_kernels.h"
 #include "groupby/groupby_ops.h"
-#include "join/build_kernels.h"
 #include "join/probe_kernels.h"
 #include "join/sink.h"
 #include "relation/relation.h"
@@ -125,7 +124,7 @@ TEST(SchedulerTest, HashProbeAllPoliciesMatchBaseline) {
 TEST(SchedulerTest, HashBuildAllPoliciesBuildIdenticalTables) {
   const Relation rel = MakeZipfRelation(4000, 1200, 0.6, 213);
   ChainedHashTable base(rel.size(), ChainedHashTable::Options{});
-  BuildBaseline<false>(rel, 0, rel.size(), base);
+  BuildBaseline(rel, 0, rel.size(), base);
   for (ExecPolicy policy : kAllExecPolicies) {
     ChainedHashTable table(rel.size(), ChainedHashTable::Options{});
     HashBuildOp<false> op(table, rel);
@@ -206,7 +205,7 @@ TEST(SchedulerTest, GroupByAllPoliciesMatchBaseline) {
   const Relation input = MakeZipfRelation(5000, 600, 0.9, 221);
 
   AggregateTable base_table(1200, AggregateTable::Options{});
-  GroupByBaseline<false>(input, 0, input.size(), base_table);
+  GroupByBaseline(input, 0, input.size(), base_table);
   const uint64_t base_groups = base_table.CountGroups();
   const uint64_t base_checksum = base_table.Checksum();
 

@@ -7,6 +7,7 @@
 
 #include <vector>
 
+#include "baseline_loops.h"
 #include "bst/bst_search.h"
 #include "core/ops.h"
 #include "core/scheduler.h"

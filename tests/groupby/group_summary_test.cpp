@@ -5,10 +5,10 @@
 
 #include <cstdint>
 
+#include "baseline_loops.h"
 #include "common/hash.h"
 #include "common/thread_pool.h"
 #include "groupby/agg_table.h"
-#include "groupby/groupby_kernels.h"
 #include "relation/relation.h"
 
 namespace amac {
@@ -46,7 +46,7 @@ TEST(GroupSummaryTest, OnePassMatchesForEachGroupReference) {
     input[0].key = GroupNode::kEmptyGroupKey;
     input[1].key = GroupNode::kEmptyGroupKey;
     AggregateTable table(groups, AggregateTable::Options{}, &team);
-    GroupByBaseline<false>(input, 0, input.size(), table);
+    GroupByBaseline(input, 0, input.size(), table);
     const GroupSummary want = Reference(table);
     EXPECT_EQ(want.rows, input.size());
     ExpectSummary(table.Summarize(), want);

@@ -10,8 +10,8 @@
 #include <map>
 #include <tuple>
 
+#include "baseline_loops.h"
 #include "core/scheduler.h"
-#include "groupby/groupby_kernels.h"
 #include "groupby/groupby_ops.h"
 
 namespace amac {
@@ -94,7 +94,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(GroupByTest, EnginesAgreeOnChecksum) {
   const Relation input = MakeZipfRelation(6000, 2000, 1.0, 73);
   AggregateTable base_table(4000, AggregateTable::Options{});
-  GroupByBaseline<false>(input, 0, input.size(), base_table);
+  GroupByBaseline(input, 0, input.size(), base_table);
   for (ExecPolicy policy : kAllExecPolicies) {
     Executor exec(ExecConfig{policy, SchedulerParams{10, 1, 0}, 1, 0});
     AggregateTable table(4000, AggregateTable::Options{});
@@ -131,7 +131,7 @@ TEST(GroupByTest, AmacTinyWindow) {
   amac::Run(ExecPolicy::kAmac, SchedulerParams{1, 1}, op, input.size());
   EXPECT_EQ(table.CountGroups(), 300u);
   AggregateTable baseline(600, AggregateTable::Options{});
-  GroupByBaseline<false>(input, 0, input.size(), baseline);
+  GroupByBaseline(input, 0, input.size(), baseline);
   EXPECT_EQ(table.Checksum(), baseline.Checksum());
 }
 

@@ -68,8 +68,8 @@ TEST(NodePoolTest, ExecutorSlotsBuildTightestChainedTableOnce) {
     ChainedHashTable table(rel.size(), ChainedHashTable::Options{});
     // Small morsels: every slot's op (and cursor) serves many morsels.
     Executor exec(ExecConfig{policy, SchedulerParams{8, 1}, kSlots, 64});
-    exec.Run(FromOp(rel.size(),
-                    [&](uint32_t) { return BuildOp<true>(table, rel); }));
+    exec.RunOp(rel.size(),
+               [&](uint32_t) { return BuildOp<true>(table, rel); });
     const std::vector<const BucketNode*> nodes = OverflowNodes(table);
     ASSERT_EQ(Distinct(nodes), nodes.size()) << ExecPolicyName(policy);
     EXPECT_EQ(nodes.size(), OverflowNodes(reference).size());
@@ -99,8 +99,8 @@ TEST(NodePoolTest, ExecutorSlotsGroupIntoOneBucketOnce) {
   ASSERT_EQ(table.num_buckets(), 1u);
   Executor exec(
       ExecConfig{ExecPolicy::kAmac, SchedulerParams{8, 1}, kSlots, 64});
-  exec.Run(FromOp(input.size(),
-                  [&](uint32_t) { return GroupByOp<true>(table, input); }));
+  exec.RunOp(input.size(),
+             [&](uint32_t) { return GroupByOp<true>(table, input); });
   std::set<const GroupNode*> nodes;
   uint64_t linked = 0;
   for (const GroupNode* g = table.buckets()[0].next;

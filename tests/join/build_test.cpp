@@ -8,8 +8,8 @@
 #include <map>
 #include <vector>
 
+#include "baseline_loops.h"
 #include "core/scheduler.h"
-#include "join/build_kernels.h"
 #include "join/hash_join.h"
 #include "join/join_ops.h"
 #include "relation/relation.h"
@@ -97,7 +97,7 @@ void ExpectBuildMatchesBaseline(ExecPolicy policy,
                                 const SchedulerParams& params,
                                 const Relation& rel) {
   ChainedHashTable baseline(rel.size(), ChainedHashTable::Options{});
-  BuildBaseline<false>(rel, 0, rel.size(), baseline);
+  BuildBaseline(rel, 0, rel.size(), baseline);
   ChainedHashTable table(rel.size(), ChainedHashTable::Options{});
   BuildOp<false> op(table, rel);
   amac::Run(policy, params, op, rel.size());

@@ -14,7 +14,6 @@
 #include "core/pipeline.h"
 #include "groupby/groupby.h"
 #include "groupby/groupby_ops.h"
-#include "join/build_kernels.h"
 #include "join/join_ops.h"
 #include "join/probe_kernels.h"
 #include "relation/relation.h"

@@ -7,12 +7,12 @@
 #include <algorithm>
 #include <vector>
 
+#include "baseline_loops.h"
 #include "common/rng.h"
 #include "core/ops.h"
 #include "core/pipeline.h"
 #include "core/scheduler.h"
 #include "groupby/groupby.h"
-#include "groupby/groupby_kernels.h"
 #include "join/hash_join.h"
 #include "join/join_ops.h"
 #include "join/probe_kernels.h"
@@ -90,7 +90,7 @@ TEST_P(JoinFuzzTest, RandomGroupByAllEnginesAgree) {
       MakeZipfRelation(tuples, groups, theta, GetParam() + 5);
 
   AggregateTable base_table(groups * 2, AggregateTable::Options{});
-  GroupByBaseline<false>(input, 0, input.size(), base_table);
+  GroupByBaseline(input, 0, input.size(), base_table);
   const uint32_t inflight = 1 + static_cast<uint32_t>(rng.NextBounded(16));
   for (ExecPolicy policy : kAllExecPolicies) {
     Executor exec(
@@ -138,13 +138,13 @@ TEST_P(JoinFuzzTest, RandomWorkloadUnifiedRuntimeAgrees) {
         std::vector<CountChecksumSink> sinks(threads);
         RunStats stats;
         if (early_exit) {
-          stats = exec.Run(FromOp(s.size(), [&](uint32_t tid) {
+          stats = exec.RunOp(s.size(), [&](uint32_t tid) {
             return ProbeOp<true, CountChecksumSink>(table, s, sinks[tid]);
-          }));
+          });
         } else {
-          stats = exec.Run(FromOp(s.size(), [&](uint32_t tid) {
+          stats = exec.RunOp(s.size(), [&](uint32_t tid) {
             return ProbeOp<false, CountChecksumSink>(table, s, sinks[tid]);
-          }));
+          });
         }
         CountChecksumSink merged;
         for (const auto& sink : sinks) merged.Merge(sink);

@@ -122,8 +122,8 @@ TEST(SyncBuildOpTest, LatchedSharedTableBuildUnderContention) {
     for (uint32_t threads : {2u, 4u}) {
       ChainedHashTable table(rel.size(), ChainedHashTable::Options{});
       Executor exec(ExecConfig{policy, SchedulerParams{8, 2}, threads, 256});
-      const RunStats stats = exec.Run(FromOp(
-          rel.size(), [&](uint32_t) { return BuildOp<true>(table, rel); }));
+      const RunStats stats = exec.RunOp(
+          rel.size(), [&](uint32_t) { return BuildOp<true>(table, rel); });
       EXPECT_EQ(stats.engine.lookups, rel.size())
           << ExecPolicyName(policy) << " threads=" << threads;
       for (int64_t key = 0; key < 16; ++key) {

@@ -359,27 +359,6 @@ TEST(PlanAdapterTest, RunHashJoinMatchesManualPhases) {
   EXPECT_EQ(join.probe.plan.candidates_considered, 1u);
 }
 
-TEST(PlanAdapterTest, CustomOpPlanMatchesRunOp) {
-  const JoinFixture fx(512, 4096, 1.0);
-  ChainedHashTable table(fx.r.size(), ChainedHashTable::Options{});
-  Executor exec = MakeExec(ExecPolicy::kAmac);
-  BuildPhase(exec, fx.r, &table);
-  std::vector<CountChecksumSink> sinks(1);
-  const RunStats direct = exec.Run(FromOp(fx.s.size(), [&](uint32_t tid) {
-    return ProbeOp<true, CountChecksumSink>(table, fx.s, sinks[tid]);
-  }));
-  std::vector<CountChecksumSink> plan_sinks(1);
-  const RunStats planned =
-      exec.Run(Plan::FromOp(fx.s.size(), [&](uint32_t tid) {
-        return ProbeOp<true, CountChecksumSink>(table, fx.s,
-                                                plan_sinks[tid]);
-      }));
-  EXPECT_EQ(planned.engine.lookups, direct.engine.lookups);
-  EXPECT_EQ(planned.engine.steps, direct.engine.steps);
-  EXPECT_EQ(plan_sinks[0].checksum(), sinks[0].checksum());
-  EXPECT_TRUE(planned.plan.active);
-}
-
 TEST(PlanSubmitTest, SchedulerPlansMatchExecutorPlans) {
   const JoinFixture fx(512, 4096, 0.6);
   ChainedHashTable table(fx.r.size(), ChainedHashTable::Options{});

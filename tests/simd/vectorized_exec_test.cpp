@@ -231,7 +231,7 @@ std::pair<uint64_t, uint64_t> RunSearch(ExecPolicy policy, uint32_t inflight,
                                         MakeOp&& make) {
   std::vector<CountChecksumSink> sinks(threads);
   Executor exec = MakeExec(policy, inflight, threads);
-  exec.Run(FromOp(n, [&](uint32_t tid) { return make(sinks[tid]); }));
+  exec.RunOp(n, [&](uint32_t tid) { return make(sinks[tid]); });
   CountChecksumSink total;
   for (const auto& s : sinks) total.Merge(s);
   return {total.matches(), total.checksum()};

@@ -8,6 +8,7 @@
 #include <thread>
 #include <vector>
 
+#include "baseline_loops.h"
 #include "common/thread_pool.h"
 #include "join/sink.h"
 #include "relation/relation.h"
@@ -147,7 +148,7 @@ TEST(SkipInsertMtOracleTest, EveryPolicyMatchesBaselineKeySet) {
   }
   SkipList baseline(rel.size());
   const uint64_t base_inserted =
-      SkipInsertBaseline<false>(baseline, rel, 0, rel.size(), /*seed=*/5);
+      SkipInsertBaseline(baseline, rel, 0, rel.size(), /*seed=*/5);
   std::set<int64_t> expected;
   baseline.ForEach([&](const SkipNode& node) { expected.insert(node.key); });
   ASSERT_EQ(base_inserted, n);

@@ -8,6 +8,7 @@
 #include <tuple>
 #include <vector>
 
+#include "baseline_loops.h"
 #include "join/sink.h"
 #include "relation/relation.h"
 #include "skiplist/skiplist_insert.h"
