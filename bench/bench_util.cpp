@@ -104,10 +104,6 @@ std::unique_ptr<CsrGraph> MakeWalkGraph(uint64_t scale, uint64_t seed) {
 
 void PlanJsonFields(JsonWriter* json, const PlanStats& plan) {
   json->Field("plan_shape", std::string(PlanShapeName(plan.shape)));
-  json->Field("plan_build_side",
-              std::string(PlanBuildSideName(plan.build_side)));
-  json->Field("plan_build_mode",
-              std::string(PlanBuildModeName(plan.build_mode)));
   json->Field("plan_candidates", plan.candidates_considered);
   json->Field("plan_from_priors", uint64_t{plan.from_priors ? 1u : 0u});
   json->Field("plan_estimated_cost_cycles", plan.estimated_cost_cycles);

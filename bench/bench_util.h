@@ -84,9 +84,10 @@ JoinResult MeasureJoin(Executor& exec, const PreparedJoin& prepared,
 /// fewest total (build + run) cycles.  Plan-owned group tables are
 /// allocated fresh inside each RunPlan call, so per-rep state reset — the
 /// AggregateTable/MaterializeSink boilerplate the benches used to
-/// hand-roll — is the plan layer's problem now.  Later repetitions ride
-/// the priors the first one stored (run.plan.from_priors), which is the
-/// steady state a serving system would measure.
+/// hand-roll — is the plan layer's problem now.  Once the first
+/// repetitions have explored every shape, later ones ride the stored
+/// priors (run.plan.from_priors), which is the steady state a serving
+/// system would measure.
 PlanResult MeasurePlan(Executor& exec, const Plan& plan,
                        const PlanOptions& options, uint32_t reps);
 
@@ -178,8 +179,8 @@ class JsonWriter {
 };
 
 /// Emit a run's optimizer decision (RunStats::plan) as flat JSON fields —
-/// shape/build-side/build-mode names, candidate count, and the cost-model
-/// provenance — under the current JsonWriter point.
+/// shape name, candidate count, and the cost-model provenance — under the
+/// current JsonWriter point.
 void PlanJsonFields(JsonWriter* json, const PlanStats& plan);
 
 /// Emit a run's hardware counters (RunStats::perf) as flat JSON fields

@@ -423,10 +423,12 @@ int Run(int argc, char** argv) {
       const RunStats oracle = SoloRun(plan, fused_pin);
       Executor exec(
           ExecConfig{ExecPolicy::kAmac, static_params, threads, 0});
-      // One untimed run pays the prefix measurement and stores the priors
-      // (the same warmup discipline as the schedule grid above); the
-      // measured reps then ride — and keep self-correcting — the priors.
-      (void)RunPlan(exec, plan, PlanOptions{});
+      // Untimed runs explore each shape once and store its prior (the
+      // same warmup discipline as the schedule grid above); the measured
+      // reps then ride — and keep self-correcting — the priors.
+      for (size_t i = 0; i < PlanCompiler::Enumerate(plan, {}).size(); ++i) {
+        (void)RunPlan(exec, plan, PlanOptions{});
+      }
       // Interleave the three arms rep by rep and take minima: comparing
       // minima of disjoint time windows lets one load burst on a shared
       // runner sink a single arm, which is what made the 0.9x gate flaky.

@@ -100,11 +100,11 @@ bool FusedSection(const BenchArgs& args, uint32_t threads,
   }
   fused_table.Print();
 
-  // Unpinned: the optimizer must consider both shapes (measure fallback on
-  // the first repetition, priors after) and reproduce the same aggregate.
+  // Unpinned: the optimizer must consider both shapes (one exploring run
+  // each, priors after) and reproduce the same aggregate.
   exec.set_policy(ExecPolicy::kAmac);
   const PlanResult auto_run =
-      MeasurePlan(exec, plan, PlanOptions{}, std::max(2u, args.reps));
+      MeasurePlan(exec, plan, PlanOptions{}, std::max(3u, args.reps));
   if (!auto_run.run.plan.active ||
       auto_run.run.plan.candidates_considered != 2 ||
       auto_run.run.checksum != checksum) {

@@ -1,5 +1,6 @@
 // Quickstart: one Executor, a hash join, and the same join fused straight
-// into a group-by as a single Pipeline.
+// into a group-by as a single Pipeline.  Exits 1 if a join misses a probe
+// row: every S key is drawn from R's dense unique keys, so each one matches.
 //
 //   build> cmake -B build -G Ninja && cmake --build build
 //   run>   ./build/example_quickstart
@@ -11,6 +12,19 @@
 #include "join/hash_join.h"
 #include "join/join_ops.h"
 #include "relation/relation.h"
+
+namespace {
+
+bool AllMatched(const char* label, const amac::JoinResult& join,
+                const amac::Relation& s) {
+  if (join.matches() == s.size()) return true;
+  std::printf("ERROR: %s join found %llu of %llu matches\n", label,
+              static_cast<unsigned long long>(join.matches()),
+              static_cast<unsigned long long>(s.size()));
+  return false;
+}
+
+}  // namespace
 
 int main() {
   using namespace amac;
@@ -35,6 +49,7 @@ int main() {
               static_cast<unsigned long long>(result.matches()));
   std::printf("build: %.1f cycles/tuple, probe: %.1f cycles/tuple\n",
               result.BuildCyclesPerTuple(), result.ProbeCyclesPerTuple());
+  if (!AllMatched("AMAC", result, s)) return 1;
 
   // The same probe fused into a group-by: one pipeline, no materialized
   // intermediate — a probe hit flows directly into the aggregation insert.
@@ -53,5 +68,6 @@ int main() {
   std::printf("baseline probe: %.1f cycles/tuple (AMAC speedup: %.2fx)\n",
               base.ProbeCyclesPerTuple(),
               base.ProbeCyclesPerTuple() / result.ProbeCyclesPerTuple());
+  if (!AllMatched("baseline", base, s)) return 1;
   return 0;
 }

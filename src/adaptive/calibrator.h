@@ -78,9 +78,9 @@ struct CalibrationResult {
   /// First-halving survivors (best half of the grid), winner included —
   /// the candidate set of later exploration and re-tuning.
   std::vector<GridPoint> survivors;
-  /// Rows the downstream pipeline kept per input row, observed on the
-  /// measure prefix (plan costing, satellite of PR 10); negative when the
-  /// run had no filtering stage or nothing was observed.
+  /// Rows the downstream pipeline kept per input row, observed on the plan
+  /// run that stored this prior (plan costing); negative when the run had
+  /// no filtering stage or nothing was observed.
   double observed_selectivity = -1;
 };
 

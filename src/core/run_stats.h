@@ -63,20 +63,6 @@ enum class PlanShape : uint8_t {
   kTwoPhase,  ///< materialize the join output, then aggregate it
 };
 
-/// Which input a join builds its hash table from.
-enum class PlanBuildSide : uint8_t {
-  kAuto,     ///< not pinned — the optimizer chooses
-  kJoinRel,  ///< build on the relation named by the join node (legacy)
-  kInput,    ///< build on the scanned input, probe with the join relation
-};
-
-/// How a parallel table build partitions work.
-enum class PlanBuildMode : uint8_t {
-  kAuto,         ///< not pinned — the optimizer chooses
-  kChained,      ///< latched chained inserts, any thread any bucket
-  kPartitioned,  ///< bucket-range pre-partitioned build (race-free)
-};
-
 inline const char* PlanShapeName(PlanShape s) {
   switch (s) {
     case PlanShape::kAuto: return "auto";
@@ -86,38 +72,18 @@ inline const char* PlanShapeName(PlanShape s) {
   return "?";
 }
 
-inline const char* PlanBuildSideName(PlanBuildSide s) {
-  switch (s) {
-    case PlanBuildSide::kAuto: return "auto";
-    case PlanBuildSide::kJoinRel: return "join-rel";
-    case PlanBuildSide::kInput: return "input";
-  }
-  return "?";
-}
-
-inline const char* PlanBuildModeName(PlanBuildMode m) {
-  switch (m) {
-    case PlanBuildMode::kAuto: return "auto";
-    case PlanBuildMode::kChained: return "chained";
-    case PlanBuildMode::kPartitioned: return "partitioned";
-  }
-  return "?";
-}
-
 /// What the plan optimizer (src/plan/) decided for this run; inert
 /// (active == false) when the run was submitted below the plan layer.
 struct PlanStats {
   bool active = false;  ///< the run went through PlanOptimizer
   PlanShape shape = PlanShape::kAuto;
-  PlanBuildSide build_side = PlanBuildSide::kAuto;
-  PlanBuildMode build_mode = PlanBuildMode::kAuto;
   /// Physical alternatives the compiler enumerated for this plan.
   uint32_t candidates_considered = 0;
-  /// The choice came from calibrator priors (true) or from measuring a
-  /// prefix of every candidate (false, the successive-halving-style
-  /// fallback).
+  /// The choice came from calibrator priors (true); false when the plan
+  /// had one candidate or the run explored a shape that had no prior yet.
   bool from_priors = false;
-  /// The cost model's prediction for the chosen shape over the full input.
+  /// The cost model's prediction for the chosen shape over the full input
+  /// (0 unless from_priors).
   double estimated_cost_cycles = 0;
   /// What the chosen shape actually cost end to end (build + run).
   double measured_cost_cycles = 0;

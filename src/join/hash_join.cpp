@@ -1,11 +1,11 @@
 #include "join/hash_join.h"
 
+#include <algorithm>
 #include <vector>
 
 #include "common/cycle_timer.h"
 #include "common/thread_pool.h"
 #include "join/join_ops.h"
-#include "plan/plan.h"
 
 namespace amac {
 
@@ -80,14 +80,14 @@ RunStats BuildParallel(Executor& exec, const Relation& r,
 }  // namespace
 
 RunStats BuildPhase(Executor& exec, const Relation& r,
-                    ChainedHashTable* table, PlanBuildMode mode) {
+                    ChainedHashTable* table, BuildMode mode) {
   const uint32_t threads = exec.num_threads();
   if (threads == 1) {
     return exec.RunOp(r.size(), [&](uint32_t) {
       return BuildOp<false>(*table, r);
     });
   }
-  if (mode == PlanBuildMode::kChained) {
+  if (mode == BuildMode::kChained) {
     return exec.RunOp(r.size(), [&](uint32_t) {
       return BuildOp<true>(*table, r);
     });
@@ -118,16 +118,14 @@ RunStats ProbePhase(Executor& exec, const ChainedHashTable& table,
 
 JoinResult RunHashJoin(Executor& exec, const Relation& r, const Relation& s,
                        const JoinOptions& options) {
-  // Legacy shape, expressed as a plan: fused, build on R, partitioned
-  // parallel build, ProbePhase's (rid, payload) accounting.  kMatches pins
-  // the enumeration to this single shape, so no optimizer measurement ever
-  // runs here and phase behavior is byte-for-byte the historic path.
-  PlanOptions popts;
-  popts.terminal = PlanTerminal::kMatches;
-  PlanResult res = RunPlan(exec, Plan::Scan(s).HashJoin(r, options), popts);
+  ChainedHashTable::Options table_options;
+  table_options.target_nodes_per_bucket = options.target_nodes_per_bucket;
+  table_options.hash_kind = options.hash_kind;
+  ChainedHashTable table(std::max<uint64_t>(1, r.size()), table_options,
+                         &exec.pool());
   JoinResult result;
-  result.build = res.build;
-  result.probe = res.run;
+  result.build = BuildPhase(exec, r, &table);
+  result.probe = ProbePhase(exec, table, s, options.early_exit);
   return result;
 }
 

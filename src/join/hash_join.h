@@ -54,25 +54,26 @@ struct JoinResult {
   double ProbeThroughput() const { return probe.Throughput(); }
 };
 
+/// How a multi-threaded BuildPhase splits the inserts across the team.
+enum class BuildMode : uint8_t {
+  /// Bucket-range partitioned: tuples are scattered to the part that owns
+  /// their bucket, so insertion is race-free (no latches) and every
+  /// bucket's chain is bit-identical to a 1-thread build's.
+  kPartitioned,
+  /// Latched chained inserts, any thread any bucket.  Chain ORDER then
+  /// depends on thread interleaving, but chain CONTENTS do not, so probes
+  /// over unique build keys (and any full-enumeration probe checksum) are
+  /// order-independent.  Plan-built tables use this mode.
+  kChained,
+};
+
 /// Build `table` from R under the executor's policy; returns the phase's
-/// RunStats.  The table must be empty and sized for R.  `mode` selects the
-/// parallel-build strategy (a plan-layer structural dimension):
-///
-///   * kPartitioned (and kAuto, the historic default) partitions by bucket
-///     range — tuples are scattered to the part that owns their bucket,
-///     so insertion is race-free (no latches) and every bucket's chain is
-///     bit-identical to a 1-thread build's;
-///   * kChained inserts under the table's bucket latches, any thread any
-///     bucket.  Chain ORDER then depends on thread interleaving, but chain
-///     CONTENTS do not — probes over unique build keys (and any
-///     full-enumeration probe checksum) are order-independent, which is
-///     why the plan layer may offer it as an equivalent shape.
-///
-/// Single-threaded builds ignore `mode` (both degenerate to the
-/// sequential unlatched build).
+/// RunStats.  The table must be empty and sized for R.  Single-threaded
+/// builds ignore `mode` (both degenerate to the sequential unlatched
+/// build).
 RunStats BuildPhase(Executor& exec, const Relation& r,
                     ChainedHashTable* table,
-                    PlanBuildMode mode = PlanBuildMode::kAuto);
+                    BuildMode mode = BuildMode::kPartitioned);
 
 /// Probe `table` with S under the executor's policy; returns the phase's
 /// RunStats with outputs = matches and the order-independent match
@@ -82,11 +83,8 @@ RunStats BuildPhase(Executor& exec, const Relation& r,
 RunStats ProbePhase(Executor& exec, const ChainedHashTable& table,
                     const Relation& s, bool early_exit);
 
-/// Convenience: build + probe with checksum sink on one executor.  Now a
-/// thin adapter over the plan layer — Plan::Scan(s).HashJoin(r) executed
-/// with the legacy shape pinned (fused, build on R, kMatches accounting) —
-/// so the historic perf/counter behavior is exactly preserved while every
-/// call site sits above plan/plan.h.
+/// Convenience: a partitioned BuildPhase of R into a fresh table, then
+/// ProbePhase with S, on one executor.
 JoinResult RunHashJoin(Executor& exec, const Relation& r, const Relation& s,
                        const JoinOptions& options = {});
 

@@ -1,13 +1,11 @@
 // Plan compilation, cost-driven shape selection, and execution.
 //
 // Layering: this file compiles logical plans down onto the EXISTING
-// physical layer — Pipeline/FusedOp for fused chains, BuildPhase /
-// ProbePhase (join/hash_join.h) for plan-built tables and the legacy
-// match accounting, RunGroupBy (groupby/groupby.h) for aggregation phases
-// (which keeps the fig09 sequential baseline anchor and the vectorized
-// GroupByOp path engaged underneath plans).  hash_join.cpp's RunHashJoin
-// conversely adapts onto RunPlan, so the dependency points one way:
-// plan.cpp -> drivers -> ops.
+// physical layer — Pipeline/FusedOp for fused chains, BuildPhase
+// (join/hash_join.h) for plan-built tables, RunGroupBy (groupby/groupby.h)
+// for aggregation phases (which keeps the fig09 sequential baseline anchor
+// and the vectorized GroupByOp path engaged underneath plans).  The
+// dependency points one way: plan.cpp -> drivers -> ops.
 //
 // Type-erasure keeps the template surface bounded: all filters/maps of a
 // plan collapse into ONE DynScanSource (folded into the scan, zero extra
@@ -18,8 +16,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <map>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -160,15 +156,6 @@ Plan Plan::GroupByInto(AggregateTable* table) const {
   return Append(std::move(node));
 }
 
-std::string PhysicalShape::Name() const {
-  std::string name = PlanShapeName(pipeline);
-  name += '/';
-  name += PlanBuildSideName(build_side);
-  name += '/';
-  name += PlanBuildModeName(build_mode);
-  return name;
-}
-
 // ---------------------------------------------------------------------------
 // Plan analysis
 // ---------------------------------------------------------------------------
@@ -269,17 +256,6 @@ std::vector<RowFn> CollectFns(const std::vector<const PlanNode*>& nodes) {
   return fns;
 }
 
-/// Re-canonicalizes a flipped-build-side probe emission: the probe carries
-/// (input payload, join-rel payload) when the table is built on the input,
-/// so swapping restores the canonical (join-rel payload, input payload)
-/// row every other shape emits.
-RowFn SwapFn() {
-  return [](Tuple& row) {
-    row = Tuple{row.payload, row.key};
-    return true;
-  };
-}
-
 /// ScanSource with the plan's pre-join filters/maps folded into the scan
 /// step itself — surviving rows cost no extra pipeline stage, and one
 /// source type covers any fn count (see the header comment on bounding
@@ -317,7 +293,7 @@ class DynScanSource {
 };
 
 /// One pipeline stage applying a chain of RowFns to each row (post-join
-/// filters/maps, and the flipped-build-side swap).
+/// filters/maps).
 class DynRowStage {
  public:
   struct State {
@@ -379,12 +355,10 @@ RunStats RunTail(Executor& exec, const PipelineT& pipeline,
   return RunMaybeAgg(exec, pipeline, groups, group_rows);
 }
 
-/// Execute the fused form of a shape.  `probe` is the scanned relation for
-/// join-rel shapes (or a measurement prefix of it), the JOIN relation for
-/// flipped build sides, and unused for walks plans.  With `groups`, the
-/// group summary's rows are stored to `group_rows`.
+/// Execute the fused form of a plan over its whole source.  `table` is
+/// the join's table (unused without a join).  With `groups`, the group
+/// summary's rows are stored to `group_rows`.
 RunStats RunFused(Executor& exec, const Profile& p,
-                  const PhysicalShape& shape, const Relation* probe,
                   const ChainedHashTable* table, AggregateTable* groups,
                   uint64_t* group_rows) {
   std::vector<RowFn> pre = CollectFns(p.pre);
@@ -394,23 +368,10 @@ RunStats RunFused(Executor& exec, const Profile& p,
     return RunTail(exec, Walks(*w.graph, w.walkers, w.hops, w.seed), pre,
                    groups, group_rows);
   }
-  AMAC_DCHECK(probe != nullptr);
+  const Relation& probe = *p.source->rel;
   if (p.join != nullptr) {
-    bool early = p.unique_build();
-    if (shape.build_side == PlanBuildSide::kInput) {
-      // Probing the non-unique scanned side: every match must be
-      // enumerated to reproduce the join-rel side's pair set, and the
-      // emission order of (payloads) is swapped back to canonical.
-      AMAC_DCHECK(pre.empty());
-      post.insert(post.begin(), SwapFn());
-      early = false;
-    } else if (p.join->kind == PlanNodeKind::kHashJoin) {
-      early = p.join->join.early_exit;
-    } else {
-      early = p.join->early_exit;
-    }
-    auto base = From(DynScanSource(*probe, std::move(pre)));
-    if (early) {
+    auto base = From(DynScanSource(probe, std::move(pre)));
+    if (p.unique_build()) {
       return RunTail(exec, base.Then(Probe<true>(*table)), post, groups,
                      group_rows);
     }
@@ -418,7 +379,7 @@ RunStats RunFused(Executor& exec, const Profile& p,
                    group_rows);
   }
   if (p.index != nullptr) {
-    auto base = From(DynScanSource(*probe, std::move(pre)));
+    auto base = From(DynScanSource(probe, std::move(pre)));
     switch (p.index->kind) {
       case PlanNodeKind::kLookupBTree:
         return RunTail(exec, base.Then(LookupBTree(*p.index->btree)), post,
@@ -436,17 +397,17 @@ RunStats RunFused(Executor& exec, const Profile& p,
     // the fig09 sequential baseline anchor and the vectorized GroupByOp
     // path underneath plans.
     GroupSummary summary;
-    const RunStats run = RunGroupBy(exec, *probe, groups, &summary);
+    const RunStats run = RunGroupBy(exec, probe, groups, &summary);
     *group_rows = summary.rows;
     return run;
   }
-  return RunTail(exec, From(DynScanSource(*probe, std::move(pre))), {},
+  return RunTail(exec, From(DynScanSource(probe, std::move(pre))), {},
                  groups, group_rows);
 }
 
 /// Execute the two-phase form: probe-materialize (MaterializeSink per
 /// slot), rebuild the canonical intermediate relation, then a separate
-/// group-by phase — fig12's materialized plan, per shape.  Returns the
+/// group-by phase — fig12's materialized plan.  Returns the
 /// phases merged into one RunStats (inputs = probe rows, outputs/checksum
 /// = the aggregation's); `group_rows` receives the group summary's rows.
 RunStats RunTwoPhase(Executor& exec, const Relation& probe,
@@ -503,16 +464,10 @@ RunStats RunTwoPhase(Executor& exec, const Relation& probe,
 // Cost model
 // ---------------------------------------------------------------------------
 
-/// Rows entering the probe/scan phase of a shape (the cost model's n).
-uint64_t ProbeInputs(const Profile& p, const PhysicalShape& shape) {
+/// Rows entering the probe/scan phase (the cost model's n).
+uint64_t ProbeInputs(const Profile& p) {
   if (p.source->kind == PlanNodeKind::kWalks) return p.source->walkers;
-  if (shape.build_side == PlanBuildSide::kInput) return p.join->rel->size();
   return p.source->rel->size();
-}
-
-const Relation& FullProbe(const Profile& p, const PhysicalShape& shape) {
-  return shape.build_side == PlanBuildSide::kInput ? *p.join->rel
-                                                   : *p.source->rel;
 }
 
 /// Calibration key of one (plan, shape) pair: the node-kind chain, the
@@ -521,19 +476,19 @@ const Relation& FullProbe(const Profile& p, const PhysicalShape& shape) {
 /// signatures by construction (the "plan:" prefix), so plan priors and
 /// governor priors never collide.
 WorkloadSignature ShapeSignature(const Plan& plan, const Profile& p,
-                                 const PhysicalShape& shape) {
+                                 PlanShape shape) {
   std::string name = "plan:";
   for (const PlanNode& node : plan.nodes()) {
     name += PlanNodeKindName(node.kind);
     name += ',';
   }
-  name += shape.Name();
+  name += PlanShapeName(shape);
   if (p.join != nullptr && p.join->kind == PlanNodeKind::kHashJoin) {
     name += ":b";
     name += std::to_string(
         WorkloadSignature::CardinalityBucket(p.join->rel->size()));
   }
-  return WorkloadSignature::Make(name, ProbeInputs(p, shape),
+  return WorkloadSignature::Make(name, ProbeInputs(p),
                                  static_cast<uint32_t>(sizeof(Tuple)));
 }
 
@@ -572,129 +527,18 @@ void StorePrior(Calibrator& calibrator, const WorkloadSignature& sig,
   calibrator.Store(sig, result);
 }
 
-/// A plan-built hash table for one (build side, build mode) pair, shared
-/// by every candidate shape that needs it (and by the final run when the
-/// winner was measured).
-struct ShapeBuild {
-  std::shared_ptr<ChainedHashTable> table;
-  RunStats build;
-};
-
-using BuildKey = std::pair<int, int>;  ///< (build_side, build_mode)
-
-BuildKey KeyOf(const PhysicalShape& shape) {
-  return {static_cast<int>(shape.build_side),
-          static_cast<int>(shape.build_mode)};
-}
-
-std::shared_ptr<ChainedHashTable> MakeTable(Executor& exec, const Profile& p,
-                                            const Relation& build_rel) {
+std::shared_ptr<ChainedHashTable> MakeTable(Executor& exec,
+                                            const Profile& p) {
   ChainedHashTable::Options options;
   options.target_nodes_per_bucket = p.join->join.target_nodes_per_bucket;
   options.hash_kind = p.join->join.hash_kind;
   return std::make_shared<ChainedHashTable>(
-      std::max<uint64_t>(1, build_rel.size()), options, &exec.pool());
-}
-
-ShapeBuild& EnsureBuilt(Executor& exec, const Profile& p,
-                        const PhysicalShape& shape,
-                        std::map<BuildKey, ShapeBuild>* built) {
-  auto [it, inserted] = built->try_emplace(KeyOf(shape));
-  if (inserted && p.join->kind == PlanNodeKind::kHashJoin) {
-    const Relation& build_rel = shape.build_side == PlanBuildSide::kInput
-                                    ? *p.source->rel
-                                    : *p.join->rel;
-    it->second.table = MakeTable(exec, p, build_rel);
-    it->second.build =
-        BuildPhase(exec, build_rel, it->second.table.get(), shape.build_mode);
-  }
-  return it->second;
-}
-
-const ChainedHashTable* TableOf(const Profile& p, const ShapeBuild& sb) {
-  return p.join->kind == PlanNodeKind::kLookup ? p.join->table
-                                               : sb.table.get();
-}
-
-AggregateTable::Options ScratchGroupOptions(const Profile& p) {
-  if (p.groupby->group_into != nullptr) {
-    AggregateTable::Options options;
-    options.hash_kind = p.groupby->group_into->hash_kind();
-    return options;
-  }
-  return p.groupby->group_options;
-}
-
-/// The measure fallback: build each needed table once at full size,
-/// execute every candidate over a probe prefix into scratch aggregation
-/// state, and extrapolate total cost = build + probe_cpi * n.  Estimates
-/// are stored as priors for every candidate (so the NEXT run of this plan
-/// chooses from priors); the measurement runs themselves are discarded —
-/// only the winner's full table is reused by the final run.
-size_t MeasureCandidates(Executor& exec, const Plan& plan, const Profile& p,
-                         const std::vector<PhysicalShape>& shapes,
-                         std::map<BuildKey, ShapeBuild>* built,
-                         double* chosen_cost) {
-  Calibrator& calibrator = exec.calibrator();
-  size_t best = 0;
-  double best_cost = std::numeric_limits<double>::infinity();
-  std::map<int, Relation> prefixes;  ///< by build side
-  for (size_t i = 0; i < shapes.size(); ++i) {
-    const PhysicalShape& shape = shapes[i];
-    const Relation& full = FullProbe(p, shape);
-    const uint64_t n = full.size();
-    const uint64_t prefix_n = std::min(n, std::max<uint64_t>(4096, n / 16));
-    ShapeBuild& sb = EnsureBuilt(exec, p, shape, built);
-    double cost = static_cast<double>(sb.build.cycles);
-    double selectivity = -1;
-    if (prefix_n > 0) {
-      auto [pit, fresh] =
-          prefixes.try_emplace(static_cast<int>(shape.build_side));
-      if (fresh) {
-        Relation prefix(prefix_n);
-        for (uint64_t j = 0; j < prefix_n; ++j) prefix[j] = full[j];
-        pit->second = std::move(prefix);
-      }
-      const Relation& prefix = pit->second;
-      std::optional<AggregateTable> scratch;
-      AggregateTable* groups = nullptr;
-      if (p.groupby != nullptr) {
-        // Groups are bounded by the prefix rows plus (for non-unique
-        // joins) the distinct join-rel payloads.
-        uint64_t expected = prefix_n;
-        if (p.join != nullptr &&
-            p.join->kind == PlanNodeKind::kHashJoin) {
-          expected += p.join->rel->size();
-        }
-        scratch.emplace(std::max<uint64_t>(1, expected),
-                        ScratchGroupOptions(p), &exec.pool());
-        groups = &*scratch;
-      }
-      uint64_t group_rows = 0;
-      const RunStats m =
-          shape.pipeline == PlanShape::kTwoPhase
-              ? RunTwoPhase(exec, prefix, *TableOf(p, sb), groups, &group_rows)
-              : RunFused(exec, p, shape, &prefix, TableOf(p, sb), groups,
-                         &group_rows);
-      cost += static_cast<double>(m.cycles) /
-              static_cast<double>(prefix_n) * static_cast<double>(n);
-      selectivity = ObservedSelectivity(m, groups, group_rows, prefix_n);
-    }
-    StorePrior(calibrator, ShapeSignature(plan, p, shape), cost, n,
-               selectivity);
-    if (cost < best_cost) {
-      best_cost = cost;
-      best = i;
-    }
-  }
-  *chosen_cost = best_cost;
-  return best;
+      std::max<uint64_t>(1, p.join->rel->size()), options, &exec.pool());
 }
 
 }  // namespace
 
-WorkloadSignature PlanShapeSignature(const Plan& plan,
-                                     const PhysicalShape& shape) {
+WorkloadSignature PlanShapeSignature(const Plan& plan, PlanShape shape) {
   const Profile p = Analyze(plan);
   return ShapeSignature(plan, p, shape);
 }
@@ -703,72 +547,21 @@ WorkloadSignature PlanShapeSignature(const Plan& plan,
 // Shape enumeration
 // ---------------------------------------------------------------------------
 
-std::vector<PhysicalShape> PlanCompiler::Enumerate(const Plan& plan,
-                                                   const PlanOptions& options,
-                                                   uint32_t num_threads) {
+std::vector<PlanShape> PlanCompiler::Enumerate(const Plan& plan,
+                                               const PlanOptions& options) {
   const Profile p = Analyze(plan);
-  if (options.terminal == PlanTerminal::kMatches) {
-    // Legacy (rid, payload) accounting is probe-order-specific: exactly
-    // the historic shape, nothing to optimize.
-    AMAC_CHECK_MSG(p.join != nullptr && p.lean() && p.groupby == nullptr,
-                   "plan: kMatches needs a lean scan->join plan");
-    AMAC_CHECK(options.shape != PlanShape::kTwoPhase);
-    AMAC_CHECK(options.build_side != PlanBuildSide::kInput);
-    PhysicalShape shape;
-    shape.build_mode = options.build_mode;
-    return {shape};
+  std::vector<PlanShape> shapes{PlanShape::kFused};
+  // Two-phase's early-exit materialization (one emission per probe row)
+  // keeps the intermediate no larger than the probe input.
+  if (p.join != nullptr && p.groupby != nullptr && p.lean() &&
+      p.unique_build()) {
+    shapes.push_back(PlanShape::kTwoPhase);
   }
-  const bool plan_built =
-      p.join != nullptr && p.join->kind == PlanNodeKind::kHashJoin;
-  std::vector<PlanBuildMode> modes{PlanBuildMode::kAuto};
-  if (plan_built) {
-    modes = num_threads > 1 ? std::vector<PlanBuildMode>{
-                                  PlanBuildMode::kPartitioned,
-                                  PlanBuildMode::kChained}
-                            : std::vector<PlanBuildMode>{
-                                  PlanBuildMode::kChained};
-  }
-  // Two-phase stays on the join-rel build side: its early-exit
-  // materialization bound (one emission per probe row) is what keeps the
-  // intermediate no larger than the probe input.
-  const bool two_phase =
-      p.join != nullptr && p.groupby != nullptr && p.lean() &&
-      p.unique_build();
-  const bool flip = plan_built && p.lean() && p.unique_build();
-  std::vector<PhysicalShape> shapes;
-  for (PlanBuildMode mode : modes) {
-    shapes.push_back({PlanShape::kFused, PlanBuildSide::kJoinRel, mode});
-  }
-  if (two_phase) {
-    for (PlanBuildMode mode : modes) {
-      shapes.push_back(
-          {PlanShape::kTwoPhase, PlanBuildSide::kJoinRel, mode});
-    }
-  }
-  if (flip) {
-    for (PlanBuildMode mode : modes) {
-      shapes.push_back({PlanShape::kFused, PlanBuildSide::kInput, mode});
-    }
-  }
-  // Apply pins.
-  std::vector<PhysicalShape> pinned;
-  for (const PhysicalShape& shape : shapes) {
-    if (options.shape != PlanShape::kAuto &&
-        shape.pipeline != options.shape) {
-      continue;
-    }
-    if (options.build_side != PlanBuildSide::kAuto &&
-        shape.build_side != options.build_side) {
-      continue;
-    }
-    if (options.build_mode != PlanBuildMode::kAuto &&
-        shape.build_mode != options.build_mode) {
-      continue;
-    }
-    pinned.push_back(shape);
-  }
-  AMAC_CHECK_MSG(!pinned.empty(), "plan: pinned shape not applicable");
-  return pinned;
+  if (options.shape == PlanShape::kAuto) return shapes;
+  AMAC_CHECK_MSG(std::find(shapes.begin(), shapes.end(), options.shape) !=
+                     shapes.end(),
+                 "plan: pinned shape not applicable");
+  return {options.shape};
 }
 
 // ---------------------------------------------------------------------------
@@ -779,41 +572,36 @@ PlanResult RunPlan(Executor& exec, const Plan& plan,
                    const PlanOptions& options) {
   PlanResult result;
   const Profile p = Analyze(plan);
-  const std::vector<PhysicalShape> shapes =
-      PlanCompiler::Enumerate(plan, options, exec.num_threads());
+  const std::vector<PlanShape> shapes = PlanCompiler::Enumerate(plan, options);
+  const uint64_t n = ProbeInputs(p);
   PlanStats pstats;
   pstats.active = true;
   pstats.candidates_considered = static_cast<uint32_t>(shapes.size());
 
   size_t chosen = 0;
   double estimated = 0;
-  std::map<BuildKey, ShapeBuild> built;
   if (shapes.size() > 1) {
     Calibrator& calibrator = exec.calibrator();
-    double best_cost = std::numeric_limits<double>::infinity();
-    bool all_priors = true;
-    std::vector<CalibrationResult> priors(shapes.size());
-    for (size_t i = 0; i < shapes.size(); ++i) {
-      const uint64_t n = ProbeInputs(p, shapes[i]);
+    std::vector<CalibrationResult> priors;
+    for (const PlanShape shape : shapes) {
       const auto prior =
-          calibrator.PeekResult(ShapeSignature(plan, p, shapes[i]), n);
-      if (!prior || prior->winner_cycles_per_input <= 0) {
-        all_priors = false;
-        break;
-      }
-      priors[i] = *prior;
+          calibrator.PeekResult(ShapeSignature(plan, p, shape), n);
+      if (!prior || prior->winner_cycles_per_input <= 0) break;
+      priors.push_back(*prior);
     }
-    if (all_priors) {
-      // Current-regime selectivity estimate: the default shape's entry —
-      // index 0 of the enumeration — is the one the post-run refresh
-      // updates most often, so its observed selectivity is the freshest
-      // evidence of the match-rate the data is actually producing.
+    if (priors.size() < shapes.size()) {
+      // Exploration: run the first shape without a prior at full size; the
+      // refresh below stores what it cost.
+      chosen = priors.size();
+    } else {
+      // Current-regime selectivity estimate: the fused shape's entry
+      // (index 0), which needs no rescale of its own.
       const double s_est = priors[0].observed_selectivity;
+      double best_cost = std::numeric_limits<double>::infinity();
       for (size_t i = 0; i < shapes.size(); ++i) {
-        const uint64_t n = ProbeInputs(p, shapes[i]);
         double cost =
             priors[i].winner_cycles_per_input * static_cast<double>(n);
-        if (shapes[i].pipeline == PlanShape::kTwoPhase) {
+        if (shapes[i] == PlanShape::kTwoPhase) {
           // A two-phase prior is regime-specific: its materialize +
           // aggregate phases scale with the join's survivors.  Rescale
           // the per-survivor half from the selectivity the prior was
@@ -831,14 +619,10 @@ PlanResult RunPlan(Executor& exec, const Plan& plan,
       }
       pstats.from_priors = true;
       estimated = best_cost;
-    } else {
-      chosen = MeasureCandidates(exec, plan, p, shapes, &built, &estimated);
     }
   }
-  const PhysicalShape shape = shapes[chosen];
-  pstats.shape = shape.pipeline;
-  pstats.build_side = shape.build_side;
-  pstats.build_mode = shape.build_mode;
+  const PlanShape shape = shapes[chosen];
+  pstats.shape = shape;
   pstats.estimated_cost_cycles = estimated;
 
   AggregateTable* groups = nullptr;
@@ -857,46 +641,30 @@ PlanResult RunPlan(Executor& exec, const Plan& plan,
     if (p.join->kind == PlanNodeKind::kLookup) {
       table = p.join->table;
     } else {
-      auto it = built.find(KeyOf(shape));
-      if (it != built.end()) {
-        result.table = it->second.table;
-        result.build = it->second.build;
-      } else {
-        const Relation& build_rel =
-            shape.build_side == PlanBuildSide::kInput ? *p.source->rel
-                                                      : *p.join->rel;
-        result.table = MakeTable(exec, p, build_rel);
-        result.build =
-            BuildPhase(exec, build_rel, result.table.get(), shape.build_mode);
-      }
+      result.table = MakeTable(exec, p);
+      result.build = BuildPhase(exec, *p.join->rel, result.table.get(),
+                                BuildMode::kChained);
       table = result.table.get();
     }
   }
 
   uint64_t group_rows = 0;
-  if (options.terminal == PlanTerminal::kMatches) {
-    result.run = ProbePhase(exec, *table, *p.source->rel, p.unique_build());
-  } else if (shape.pipeline == PlanShape::kTwoPhase) {
+  if (shape == PlanShape::kTwoPhase) {
     result.run =
         RunTwoPhase(exec, *p.source->rel, *table, groups, &group_rows);
   } else {
-    const Relation* probe =
-        p.source->kind == PlanNodeKind::kWalks ? nullptr
-        : shape.build_side == PlanBuildSide::kInput ? p.join->rel
-                                                    : p.source->rel;
-    result.run = RunFused(exec, p, shape, probe, table, groups, &group_rows);
+    result.run = RunFused(exec, p, table, groups, &group_rows);
   }
   pstats.measured_cost_cycles =
       static_cast<double>(result.build.cycles + result.run.cycles);
-  pstats.observed_selectivity = ObservedSelectivity(
-      result.run, groups, group_rows, ProbeInputs(p, shape));
-  // Refresh the chosen shape's prior with the full-run cost and the
-  // full-run selectivity, so steady state tracks reality (including the
-  // match-rate regime) rather than the first extrapolation forever.
+  pstats.observed_selectivity =
+      ObservedSelectivity(result.run, groups, group_rows, n);
+  // Store the shape's full-run cost and selectivity as its prior: the
+  // first cost of an explored shape, or a refresh of the chosen one, so
+  // steady state tracks reality (including the match-rate regime).
   if (shapes.size() > 1) {
     StorePrior(exec.calibrator(), ShapeSignature(plan, p, shape),
-               pstats.measured_cost_cycles, ProbeInputs(p, shape),
-               pstats.observed_selectivity);
+               pstats.measured_cost_cycles, n, pstats.observed_selectivity);
   }
   result.run.plan = pstats;
   return result;

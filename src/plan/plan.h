@@ -1,42 +1,37 @@
 // Declarative query-plan layer above the fused Pipeline API.
 //
 // A Pipeline (core/pipeline.h) is a *physical* artifact: the caller has
-// already decided to fuse the whole chain, which side of a join builds the
-// hash table, and how that build partitions.  The paper's fig12 result is
-// exactly that those structural choices matter — fused wins at high match
-// rates, probe-materialize + aggregate wins when the join filters hard —
-// yet nothing in the repo could make the choice; every bench hard-coded
-// one shape.
+// already decided to fuse the whole chain.  The paper's fig12 result is
+// exactly that this structural choice matters — fused wins at high match
+// rates, probe-materialize + aggregate wins when the join filters hard.
 //
 // `Plan` describes the query as logical intent only:
 //
 //   Plan plan = Plan::Scan(s)
-//                   .HashJoin(r)                 // no build side chosen
-//                   .GroupBy(num_groups);        // no fusion chosen
+//                   .Lookup(table)               // no fusion chosen
+//                   .GroupBy(num_groups);
 //   PlanResult res = RunPlan(exec, plan);
 //   res.run.plan.shape;                          // what the optimizer did
 //
 // `PlanCompiler::Enumerate` expands a plan into its equivalent physical
-// shapes (fused vs two-phase, build side, build partitioning);
-// `RunPlan` picks among them with a cost model over the Executor's
-// Calibrator priors (cycles-per-input keyed by a plan-shape
-// WorkloadSignature), falling back to measuring a prefix of the real input
-// under every candidate — the plan-level analogue of the adaptive layer's
-// successive-halving calibration — when no priors exist.  Every enumerated
-// shape produces bitwise-identical outputs/checksums (pinned by
-// tests/plan/), so the choice is purely a performance decision.
+// shapes: fused, plus two-phase where a join feeds a group-by.  `RunPlan`
+// runs exactly one shape per query.  While an enumerated shape has no
+// prior in the Executor's Calibrator (cycles-per-input keyed by a
+// plan-shape WorkloadSignature), the query explores the first such shape
+// at full size and stores its cost; once every shape has a prior, it
+// picks the cheapest by a cost model over them.  Every enumerated shape
+// produces bitwise-identical outputs/checksums (pinned by tests/plan/), so
+// the choice is purely a performance decision.
 //
 // Entry points: `RunPlan` (full result: build stats + owned structures),
 // `Executor::Run(const Plan&)` (just the run stats), and
 // `Submit(QueryScheduler&, const Plan&, ...)` for prebuilt-structure plans
-// on the concurrent serving path.  `RunHashJoin` (join/hash_join.h) is now
-// a thin adapter pinning the legacy shape on this layer.
+// on the concurrent serving path.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "adaptive/signature.h"
@@ -93,24 +88,10 @@ struct PlanNode {
   AggregateTable* group_into = nullptr;    ///< kGroupBy: caller's table
 };
 
-/// What the terminal rows of a non-group-by plan fold into.
-enum class PlanTerminal : uint8_t {
-  /// RowSink discipline: count + checksum over emitted (key, payload) rows.
-  kCollect,
-  /// Legacy join accounting: ProbePhase's (probe rid, build payload)
-  /// checksum.  Only valid for Scan -> HashJoin/Lookup plans with no
-  /// filters or maps; pins the build side (the rid is probe-relative), so
-  /// no structural alternatives are enumerated.  RunHashJoin uses this.
-  kMatches,
-};
-
-/// Execution-time knobs: pin any structural dimension (kAuto = let the
-/// optimizer choose) and pick the terminal accounting.
+/// Execution-time knobs: pin the shape (kAuto = let the optimizer
+/// choose).
 struct PlanOptions {
   PlanShape shape = PlanShape::kAuto;
-  PlanBuildSide build_side = PlanBuildSide::kAuto;
-  PlanBuildMode build_mode = PlanBuildMode::kAuto;
-  PlanTerminal terminal = PlanTerminal::kCollect;
 };
 
 /// A value-semantic logical plan, built fluently:
@@ -150,42 +131,23 @@ class Plan {
   std::vector<PlanNode> nodes_;
 };
 
-/// One physical alternative for a plan: every structural dimension pinned.
-struct PhysicalShape {
-  PlanShape pipeline = PlanShape::kFused;
-  PlanBuildSide build_side = PlanBuildSide::kJoinRel;
-  PlanBuildMode build_mode = PlanBuildMode::kAuto;
-
-  /// Stable display / signature name, e.g. "fused/join-rel/partitioned".
-  std::string Name() const;
-};
-
-/// Enumerates the physically equivalent shapes of a plan.  The result is
-/// never empty; index 0 is the default (fused, join-rel build, auto
-/// partitioning).  Alternatives appear only where they are provably
-/// result-identical:
-///   * two-phase — lean Scan -> HashJoin/Lookup -> GroupBy chains (no
-///     filters/maps) with unique build keys (early_exit);
-///   * build-side flip — plan-built hash joins under the same leanness
-///     (the flipped probe re-canonicalizes rows, and unique join-rel keys
-///     make early-exit and full enumeration emit the same pair set);
-///   * build partitioning — chained (latched) vs pre-partitioned, for
-///     plan-built tables on multi-threaded executors.
-/// PlanOptions pins filter the list; a pin that matches no valid shape is
-/// a programming error (AMAC_CHECK).
+/// Enumerates the physically equivalent shapes of a plan: {kFused}, or
+/// {kFused, kTwoPhase} for lean Scan -> HashJoin/Lookup -> GroupBy chains
+/// (no filters/maps) with unique build keys (early_exit), the only
+/// chains where both are provably result-identical.  A PlanOptions::shape
+/// pin filters the list; a pin that matches no valid shape is a
+/// programming error (AMAC_CHECK).
 class PlanCompiler {
  public:
-  static std::vector<PhysicalShape> Enumerate(const Plan& plan,
-                                              const PlanOptions& options,
-                                              uint32_t num_threads);
+  static std::vector<PlanShape> Enumerate(const Plan& plan,
+                                          const PlanOptions& options);
 };
 
 /// The calibration-cache key of one (plan, shape) pair — the signature
 /// RunPlan stores shape priors under.  Exposed so tests and offline
 /// tooling can seed or inspect plan-level priors without re-deriving the
 /// naming scheme.
-WorkloadSignature PlanShapeSignature(const Plan& plan,
-                                     const PhysicalShape& shape);
+WorkloadSignature PlanShapeSignature(const Plan& plan, PlanShape shape);
 
 /// Everything a plan execution produced.  `run` is the main phase
 /// (probe/scan/aggregate) with run.plan filled in; `build` is the
@@ -200,10 +162,10 @@ struct PlanResult {
   uint64_t TotalCycles() const { return build.cycles + run.cycles; }
 };
 
-/// Execute `plan` on `exec`: enumerate shapes, choose by Calibrator priors
-/// (or the measure fallback), run the winner.  Priors learned here are
-/// stored back into exec.calibrator(), so repeated plans skip straight to
-/// the costed choice (run.plan.from_priors).
+/// Execute `plan` on `exec` in one shape: the first enumerated shape with
+/// no prior in exec.calibrator(), else the cheapest by its prior
+/// (run.plan.from_priors).  When the plan has more than one candidate, the
+/// shape that ran stores its full-run cost and selectivity as its prior.
 PlanResult RunPlan(Executor& exec, const Plan& plan,
                    const PlanOptions& options = {});
 

@@ -139,7 +139,7 @@ TEST(ChainedHashTableTest, ParallelBuildMatchesSequential) {
   ChainedHashTable par(rel.size(), DefaultOptions());
   Executor exec(
       ExecConfig{ExecPolicy::kAmac, SchedulerParams{10, 1, 0}, 4, 0});
-  BuildPhase(exec, rel, &par, PlanBuildMode::kChained);
+  BuildPhase(exec, rel, &par, BuildMode::kChained);
   // Same multiset of (key, payload) per key.
   std::map<int64_t, std::vector<int64_t>> expected;
   for (const Tuple& t : rel) expected[t.key].push_back(t.payload);

@@ -6,8 +6,9 @@
 // count, pinned bitwise against the sequential single-threaded oracle.
 // That equivalence is what makes the optimizer's choice purely a
 // performance decision.  Plus: cost-model unit tests (planted priors
-// steer the choice; the measure fallback stores priors), the RunHashJoin
-// adapter's exactness, scheduler submission, and calibrator staleness.
+// steer the choice; exploration runs each shape once at full size and
+// stores its prior), RunHashJoin against its manual phases, scheduler
+// submission, and calibrator staleness.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -65,45 +66,63 @@ Plan JoinGroupByPlan(const JoinFixture& fx, uint64_t groups) {
 TEST(PlanCompilerTest, EnumeratesAllJoinGroupByShapes) {
   const JoinFixture fx(512, 2048, 0.5);
   const Plan plan = JoinGroupByPlan(fx, 1024);
-  const auto one = PlanCompiler::Enumerate(plan, PlanOptions{}, 1);
-  // 1 thread: no build-mode dimension -> fused + two-phase + flipped.
-  ASSERT_EQ(one.size(), 3u);
-  EXPECT_EQ(one[0].pipeline, PlanShape::kFused);
-  EXPECT_EQ(one[0].build_side, PlanBuildSide::kJoinRel);
-  const auto four = PlanCompiler::Enumerate(plan, PlanOptions{}, 4);
-  // 4 threads: x {partitioned, chained} builds.
-  EXPECT_EQ(four.size(), 6u);
+  const std::vector<PlanShape> want{PlanShape::kFused, PlanShape::kTwoPhase};
+  EXPECT_EQ(PlanCompiler::Enumerate(plan, PlanOptions{}), want);
+  const ChainedHashTable table(fx.r.size(), ChainedHashTable::Options{});
+  const Plan lookup = Plan::Scan(fx.s).Lookup(table).GroupBy(1024);
+  EXPECT_EQ(PlanCompiler::Enumerate(lookup, PlanOptions{}), want);
 }
 
 TEST(PlanCompilerTest, AlternativesNeedLeanUniqueJoins) {
   const JoinFixture fx(512, 2048, 0.5);
-  // Non-early-exit join: no flip, no two-phase.
+  // Non-early-exit join: no two-phase.
   JoinOptions dup;
   dup.early_exit = false;
   const Plan nonunique = Plan::Scan(fx.s).HashJoin(fx.r, dup).GroupBy(2048);
-  EXPECT_EQ(PlanCompiler::Enumerate(nonunique, PlanOptions{}, 1).size(), 1u);
+  EXPECT_EQ(PlanCompiler::Enumerate(nonunique, PlanOptions{}).size(), 1u);
   // A filter between scan and join: structure pinned too.
   const Plan filtered = Plan::Scan(fx.s)
                             .Filter([](const Tuple& t) { return t.key >= 0; })
                             .HashJoin(fx.r)
                             .GroupBy(1024);
-  EXPECT_EQ(PlanCompiler::Enumerate(filtered, PlanOptions{}, 1).size(), 1u);
-  // No group-by: the flip is still available (checksums are
-  // order-independent), two-phase is not.
+  EXPECT_EQ(PlanCompiler::Enumerate(filtered, PlanOptions{}).size(), 1u);
+  // No group-by: only the fused shape.
   const Plan nogroup = Plan::Scan(fx.s).HashJoin(fx.r);
-  const auto shapes = PlanCompiler::Enumerate(nogroup, PlanOptions{}, 1);
-  ASSERT_EQ(shapes.size(), 2u);
-  EXPECT_EQ(shapes[1].build_side, PlanBuildSide::kInput);
+  const auto shapes = PlanCompiler::Enumerate(nogroup, PlanOptions{});
+  ASSERT_EQ(shapes.size(), 1u);
+  EXPECT_EQ(shapes[0], PlanShape::kFused);
 }
 
 TEST(PlanCompilerTest, PinsFilterTheList) {
   const JoinFixture fx(512, 2048, 0.5);
   const Plan plan = JoinGroupByPlan(fx, 1024);
-  PlanOptions pin;
-  pin.shape = PlanShape::kTwoPhase;
-  const auto shapes = PlanCompiler::Enumerate(plan, pin, 4);
-  ASSERT_EQ(shapes.size(), 2u);
-  for (const auto& s : shapes) EXPECT_EQ(s.pipeline, PlanShape::kTwoPhase);
+  for (const PlanShape shape : {PlanShape::kFused, PlanShape::kTwoPhase}) {
+    PlanOptions pin;
+    pin.shape = shape;
+    EXPECT_EQ(PlanCompiler::Enumerate(plan, pin),
+              std::vector<PlanShape>{shape});
+  }
+}
+
+// A plan-built join with no group-by has one shape on any thread count, so
+// RunPlan neither explores nor stores a prior.
+TEST(PlanCompilerTest, PlanBuiltJoinRunsOneShapeOnAnyThreadCount) {
+  const JoinFixture fx(1024, 8192, 0.7);
+  const Plan plan = Plan::Scan(fx.s).HashJoin(fx.r);
+  Executor oracle_exec = MakeExec(ExecPolicy::kSequential);
+  const PlanResult oracle = RunPlan(oracle_exec, plan);
+  ASSERT_GT(oracle.run.outputs, 0u);
+  for (const uint32_t threads : {1u, 4u}) {
+    Executor exec = MakeExec(ExecPolicy::kAmac, 10, threads);
+    const PlanResult got = RunPlan(exec, plan);
+    EXPECT_EQ(got.run.plan.candidates_considered, 1u) << threads;
+    EXPECT_EQ(got.run.plan.shape, PlanShape::kFused) << threads;
+    EXPECT_FALSE(got.run.plan.from_priors) << threads;
+    EXPECT_EQ(exec.calibrator().entries(), 0u) << threads;
+    EXPECT_EQ(got.build.inputs, fx.r.size()) << threads;
+    EXPECT_EQ(got.run.outputs, oracle.run.outputs) << threads;
+    EXPECT_EQ(got.run.checksum, oracle.run.checksum) << threads;
+  }
 }
 
 // The core differential: every enumerated shape x policy x threads agrees
@@ -115,7 +134,6 @@ TEST(PlanDifferentialTest, AllShapesMatchSequentialOracle) {
     Executor oracle_exec = MakeExec(ExecPolicy::kSequential);
     PlanOptions pin;  // oracle: the default fused shape
     pin.shape = PlanShape::kFused;
-    pin.build_side = PlanBuildSide::kJoinRel;
     const PlanResult oracle = RunPlan(oracle_exec, plan, pin);
     ASSERT_GT(oracle.run.outputs, 0u);
     for (const ExecPolicy policy :
@@ -123,21 +141,18 @@ TEST(PlanDifferentialTest, AllShapesMatchSequentialOracle) {
           ExecPolicy::kVectorizedAmac}) {
       for (const uint32_t threads : {1u, 4u}) {
         Executor exec = MakeExec(policy, 10, threads);
-        for (const PhysicalShape& shape :
-             PlanCompiler::Enumerate(plan, PlanOptions{}, threads)) {
+        for (const PlanShape shape :
+             PlanCompiler::Enumerate(plan, PlanOptions{})) {
           PlanOptions opt;
-          opt.shape = shape.pipeline;
-          opt.build_side = shape.build_side;
-          opt.build_mode = shape.build_mode;
+          opt.shape = shape;
           const PlanResult got = RunPlan(exec, plan, opt);
-          const std::string label = shape.Name() + " " +
+          const std::string label = std::string(PlanShapeName(shape)) + " " +
                                     ExecPolicyName(policy) + " t=" +
                                     std::to_string(threads) + " hit=" +
                                     std::to_string(hit_rate);
           EXPECT_EQ(got.run.outputs, oracle.run.outputs) << label;
           EXPECT_EQ(got.run.checksum, oracle.run.checksum) << label;
-          EXPECT_EQ(got.run.plan.shape, shape.pipeline) << label;
-          EXPECT_EQ(got.run.plan.build_side, shape.build_side) << label;
+          EXPECT_EQ(got.run.plan.shape, shape) << label;
         }
       }
     }
@@ -147,8 +162,8 @@ TEST(PlanDifferentialTest, AllShapesMatchSequentialOracle) {
 // With a multi-thread executor the plan builds its join and group tables,
 // summarises its groups and copies the two-phase intermediate on the
 // executor's team (three threads: no power-of-two bucket count divides).
-// Every shape, and the measure fallback's choice, must still agree bitwise
-// with the sequential single-threaded oracle and observe every row.
+// Every shape, and the first unpinned run's choice, must still agree
+// bitwise with the sequential single-threaded oracle and observe every row.
 TEST(PlanDifferentialTest, TeamSetUpShapesMatchSequentialOracle) {
   const uint64_t r_size = uint64_t{1} << 17;
   const uint64_t s_size = uint64_t{1} << 18;
@@ -157,25 +172,18 @@ TEST(PlanDifferentialTest, TeamSetUpShapesMatchSequentialOracle) {
   Executor oracle_exec = MakeExec(ExecPolicy::kSequential);
   PlanOptions pin;
   pin.shape = PlanShape::kFused;
-  pin.build_side = PlanBuildSide::kJoinRel;
   const PlanResult oracle = RunPlan(oracle_exec, plan, pin);
   ASSERT_GT(oracle.run.outputs, 0u);
   const uint32_t threads = 3;
   Executor exec = MakeExec(ExecPolicy::kAmac, 10, threads);
-  for (const PhysicalShape& shape :
-       PlanCompiler::Enumerate(plan, PlanOptions{}, threads)) {
+  for (const PlanShape shape : PlanCompiler::Enumerate(plan, PlanOptions{})) {
     PlanOptions opt;
-    opt.shape = shape.pipeline;
-    opt.build_side = shape.build_side;
-    opt.build_mode = shape.build_mode;
+    opt.shape = shape;
     const PlanResult got = RunPlan(exec, plan, opt);
-    EXPECT_EQ(got.run.outputs, oracle.run.outputs) << shape.Name();
-    EXPECT_EQ(got.run.checksum, oracle.run.checksum) << shape.Name();
-    const uint64_t probe_rows =
-        shape.build_side == PlanBuildSide::kInput ? r_size : s_size;
-    EXPECT_DOUBLE_EQ(got.run.plan.observed_selectivity,
-                     static_cast<double>(s_size) / probe_rows)
-        << shape.Name();
+    EXPECT_EQ(got.run.outputs, oracle.run.outputs) << PlanShapeName(shape);
+    EXPECT_EQ(got.run.checksum, oracle.run.checksum) << PlanShapeName(shape);
+    EXPECT_DOUBLE_EQ(got.run.plan.observed_selectivity, 1.0)
+        << PlanShapeName(shape);
   }
   Executor fresh = MakeExec(ExecPolicy::kAmac, 10, threads);
   const PlanResult measured = RunPlan(fresh, plan);
@@ -258,8 +266,8 @@ TEST(PlanTest, GroupByIntoUsesCallerTable) {
 // Every shape reads the rows it observes off the summary of the whole
 // group table, so a caller's table that already held rows moves the
 // observed selectivity the same way whichever shape ran: the fused join,
-// the two-phase join, the flipped build, the group-by driver under a pure
-// scan, and the fused pipeline under a filtered one.
+// the two-phase join, the group-by driver under a pure scan, and the fused
+// pipeline under a filtered one.
 TEST(PlanTest, GroupByIntoObservesTableRowsOnEveryShape) {
   const JoinFixture fx(512, 4096, 0.5);
   const Relation prefill = MakeGroupByInput(64, 3, 29);
@@ -274,20 +282,16 @@ TEST(PlanTest, GroupByIntoObservesTableRowsOnEveryShape) {
     return Plan::Scan(fx.s).HashJoin(fx.r).GroupByInto(t);
   };
   AggregateTable unused(1, AggregateTable::Options{});
-  const auto shapes = PlanCompiler::Enumerate(join(&unused), PlanOptions{}, 1);
-  ASSERT_EQ(shapes.size(), 3u);
+  const auto shapes = PlanCompiler::Enumerate(join(&unused), PlanOptions{});
+  ASSERT_EQ(shapes.size(), 2u);
   const double matches = static_cast<double>(fx.s.size()) / 2;
-  for (const PhysicalShape& shape : shapes) {
+  for (const PlanShape shape : shapes) {
     PlanOptions opt;
-    opt.shape = shape.pipeline;
-    opt.build_side = shape.build_side;
-    const double probe_rows = static_cast<double>(
-        shape.build_side == PlanBuildSide::kInput ? fx.r.size()
-                                                  : fx.s.size());
+    opt.shape = shape;
     EXPECT_DOUBLE_EQ(observed(join, opt),
                      (static_cast<double>(prefill.size()) + matches) /
-                         probe_rows)
-        << shape.Name();
+                         static_cast<double>(fx.s.size()))
+        << PlanShapeName(shape);
   }
   const double scan_rows = static_cast<double>(fx.s.size());
   const double want =
@@ -310,28 +314,72 @@ TEST(PlanOptimizerTest, PlantedPriorsSteerTheChoice) {
   const JoinFixture fx(512, 4096, 0.5);
   const Plan plan = JoinGroupByPlan(fx, 1024);
   Executor exec = MakeExec(ExecPolicy::kAmac);
-  const auto shapes = PlanCompiler::Enumerate(plan, PlanOptions{}, 1);
+  const auto shapes = PlanCompiler::Enumerate(plan, PlanOptions{});
   ASSERT_GT(shapes.size(), 1u);
-  // First run: no priors -> the measure fallback decides and stores
-  // priors for every candidate.
-  const PlanResult first = RunPlan(exec, plan);
-  EXPECT_FALSE(first.run.plan.from_priors);
-  EXPECT_EQ(first.run.plan.candidates_considered, shapes.size());
-  EXPECT_GT(first.run.plan.measured_cost_cycles, 0.0);
-  // Second run: priors now exist for every shape.
+  // First runs: no priors -> each explores one shape and stores its prior.
+  PlanResult first;
+  for (size_t i = 0; i < shapes.size(); ++i) {
+    first = RunPlan(exec, plan);
+    EXPECT_FALSE(first.run.plan.from_priors);
+    EXPECT_EQ(first.run.plan.candidates_considered, shapes.size());
+    EXPECT_GT(first.run.plan.measured_cost_cycles, 0.0);
+  }
+  // Next run: priors now exist for every shape.
   const PlanResult second = RunPlan(exec, plan);
   EXPECT_TRUE(second.run.plan.from_priors);
   EXPECT_GT(second.run.plan.estimated_cost_cycles, 0.0);
   EXPECT_EQ(second.run.checksum, first.run.checksum);
 }
 
-TEST(PlanOptimizerTest, EpochAdvanceReturnsToMeasurement) {
+// With no priors, each shape runs once at full size, in enumeration order,
+// before any run decides from priors; then the cheaper of the two explored
+// runs is chosen, so a costlier first pick is not run again.
+TEST(PlanOptimizerTest, ExploresEachShapeOnceAtFullSize) {
+  const JoinFixture fx(512, 4096, 0.5);
+  const Plan plan = JoinGroupByPlan(fx, 1024);
+  const uint64_t n = fx.s.size();
+  for (const uint32_t threads : {1u, 4u}) {
+    Executor exec = MakeExec(ExecPolicy::kAmac, 10, threads);
+    const auto shapes = PlanCompiler::Enumerate(plan, PlanOptions{});
+    ASSERT_EQ(shapes.size(), 2u);
+    std::vector<PlanResult> explored;
+    for (const PlanShape shape : shapes) {
+      PlanResult got = RunPlan(exec, plan);
+      EXPECT_FALSE(got.run.plan.from_priors) << threads;
+      EXPECT_EQ(got.run.plan.shape, shape) << threads;
+      EXPECT_EQ(got.run.inputs, n) << threads;
+      // The stored prior is this full run's cost.
+      const auto prior =
+          exec.calibrator().PeekResult(PlanShapeSignature(plan, shape), n);
+      ASSERT_TRUE(prior.has_value()) << threads;
+      EXPECT_DOUBLE_EQ(prior->winner_cycles_per_input,
+                       got.run.plan.measured_cost_cycles /
+                           static_cast<double>(n))
+          << threads;
+      explored.push_back(std::move(got));
+    }
+    const size_t cheaper = explored[1].run.plan.measured_cost_cycles <
+                                   explored[0].run.plan.measured_cost_cycles
+                               ? 1
+                               : 0;
+    const PlanResult decided = RunPlan(exec, plan);
+    EXPECT_TRUE(decided.run.plan.from_priors) << threads;
+    EXPECT_EQ(decided.run.plan.shape, shapes[cheaper]) << threads;
+    for (const PlanResult& e : explored) {
+      EXPECT_EQ(e.run.outputs, decided.run.outputs) << threads;
+      EXPECT_EQ(e.run.checksum, decided.run.checksum) << threads;
+    }
+  }
+}
+
+TEST(PlanOptimizerTest, FreshExecutorExploresAgain) {
   // A repeated plan decides from priors; plan-shape priors live in the
-  // Executor's calibrator, so a fresh Executor has none and measures
+  // Executor's calibrator, so a fresh Executor has none and explores
   // again.  Every path produces the same checksum.
   const JoinFixture fx(512, 4096, 0.5);
   const Plan plan = JoinGroupByPlan(fx, 1024);
   Executor exec = MakeExec(ExecPolicy::kAmac);
+  RunPlan(exec, plan);
   RunPlan(exec, plan);
   const PlanResult cached = RunPlan(exec, plan);
   EXPECT_TRUE(cached.run.plan.from_priors);
@@ -355,8 +403,6 @@ TEST(PlanAdapterTest, RunHashJoinMatchesManualPhases) {
   EXPECT_EQ(join.matches(), probe.outputs);
   EXPECT_EQ(join.checksum(), probe.checksum);
   EXPECT_EQ(join.build.inputs, build.inputs);
-  EXPECT_TRUE(join.probe.plan.active);
-  EXPECT_EQ(join.probe.plan.candidates_considered, 1u);
 }
 
 TEST(PlanSubmitTest, SchedulerPlansMatchExecutorPlans) {
@@ -400,35 +446,30 @@ TEST(CalibratorStalenessTest, CardinalityBucketMismatchEvicts) {
 
 // ------------------------------------------------- selectivity costing --
 
-TEST(PlanSelectivityTest, MeasurePrefixObservesSelectivity) {
+TEST(PlanSelectivityTest, ExplorationObservesSelectivity) {
   const JoinFixture fx(512, 4096, 0.5);
   const Plan plan = JoinGroupByPlan(fx, 1024);
   Executor exec = MakeExec(ExecPolicy::kAmac);
-  // Pin the join-rel build side so every candidate probes S: the observed
-  // ratio is then the fixture's planted match rate for whichever shape
-  // the measure fallback picks.
-  PlanOptions opt;
-  opt.build_side = PlanBuildSide::kJoinRel;
-  const PlanResult first = RunPlan(exec, plan, opt);
+  const PlanResult first = RunPlan(exec, plan);
   // Terminal rows per probe row: the fixture's planted 0.5 match rate.
   EXPECT_NEAR(first.run.plan.observed_selectivity, 0.5, 0.1);
-  // The measure fallback banked the observation with its priors.
-  bool stored_selectivity = false;
-  for (const auto& e : exec.calibrator().Entries()) {
-    if (e.result.observed_selectivity >= 0) stored_selectivity = true;
-  }
-  EXPECT_TRUE(stored_selectivity);
+  // The explored shape banked the observation with its prior.
+  const auto prior = exec.calibrator().PeekResult(
+      PlanShapeSignature(plan, first.run.plan.shape), fx.s.size());
+  ASSERT_TRUE(prior.has_value());
+  EXPECT_DOUBLE_EQ(prior->observed_selectivity,
+                   first.run.plan.observed_selectivity);
 }
 
 TEST(PlanSelectivityTest, RegimeDropFlipsChoiceToTwoPhase) {
   const JoinFixture fx(512, 4096, 0.5);
   const Plan plan = JoinGroupByPlan(fx, 1024);
   Executor exec = MakeExec(ExecPolicy::kAmac);
-  const auto shapes = PlanCompiler::Enumerate(plan, PlanOptions{}, 1);
-  ASSERT_EQ(shapes.size(), 3u);
-  ASSERT_EQ(shapes[1].pipeline, PlanShape::kTwoPhase);
+  const auto shapes = PlanCompiler::Enumerate(plan, PlanOptions{});
+  ASSERT_EQ(shapes.size(), 2u);
+  ASSERT_EQ(shapes[1], PlanShape::kTwoPhase);
   Calibrator& cal = exec.calibrator();
-  const auto plant = [&](const PhysicalShape& shape, double cpi,
+  const auto plant = [&](PlanShape shape, double cpi,
                          double sel) {
     CalibrationResult r;
     r.winner_cycles_per_input = cpi;
@@ -438,7 +479,6 @@ TEST(PlanSelectivityTest, RegimeDropFlipsChoiceToTwoPhase) {
   // Same-regime priors: fused (10 c/row) beats two-phase (12 c/row).
   plant(shapes[0], 10, 0.5);
   plant(shapes[1], 12, 0.5);
-  plant(shapes[2], 1000, 0.5);  // flipped build: out of the running
   const PlanResult same = RunPlan(exec, plan);
   EXPECT_TRUE(same.run.plan.from_priors);
   EXPECT_EQ(same.run.plan.shape, PlanShape::kFused);
@@ -449,7 +489,6 @@ TEST(PlanSelectivityTest, RegimeDropFlipsChoiceToTwoPhase) {
   // without re-measuring anything.
   plant(shapes[0], 10, 0.05);
   plant(shapes[1], 12, 0.5);
-  plant(shapes[2], 1000, 0.5);
   const PlanResult flipped = RunPlan(exec, plan);
   EXPECT_TRUE(flipped.run.plan.from_priors);
   EXPECT_EQ(flipped.run.plan.shape, PlanShape::kTwoPhase);
@@ -462,17 +501,16 @@ TEST(PlanSelectivityTest, MissingSelectivityLeavesCostUnscaled) {
   const JoinFixture fx(512, 4096, 0.5);
   const Plan plan = JoinGroupByPlan(fx, 1024);
   Executor exec = MakeExec(ExecPolicy::kAmac);
-  const auto shapes = PlanCompiler::Enumerate(plan, PlanOptions{}, 1);
-  ASSERT_EQ(shapes.size(), 3u);
+  const auto shapes = PlanCompiler::Enumerate(plan, PlanOptions{});
+  ASSERT_EQ(shapes.size(), 2u);
   Calibrator& cal = exec.calibrator();
-  const auto plant = [&](const PhysicalShape& shape, double cpi) {
+  const auto plant = [&](PlanShape shape, double cpi) {
     CalibrationResult r;  // observed_selectivity stays -1 (unobserved)
     r.winner_cycles_per_input = cpi;
     cal.Store(PlanShapeSignature(plan, shape), r);
   };
   plant(shapes[0], 10);
   plant(shapes[1], 8);
-  plant(shapes[2], 1000);
   const PlanResult res = RunPlan(exec, plan);
   EXPECT_TRUE(res.run.plan.from_priors);
   // No stored selectivity: pure cpi * n comparison, two-phase's 8 wins.
